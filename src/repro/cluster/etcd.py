@@ -11,10 +11,12 @@ Reproduces the subset of etcd semantics Kubernetes relies on:
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
+from ..perf import fastpath
 from ..sim import Environment, Store
 
 __all__ = ["Etcd", "WatchEvent", "WatchEventType", "KeyValue", "CasFailure"]
@@ -79,6 +81,10 @@ class Etcd:
     def __init__(self, env: Environment) -> None:
         self._env = env
         self._data: Dict[str, KeyValue] = {}
+        #: Every key in ``_data``, sorted. Updated only when a key is
+        #: created or deleted, so a prefix read bisects to its first match
+        #: and walks the matches instead of sorting the whole keyspace.
+        self._keys: List[str] = []
         self._revision = 0
         self._watches: List[_Watch] = []
         #: synchronous commit hooks ``(prefix, fn)`` — unlike watches, these
@@ -103,9 +109,26 @@ class Etcd:
             self.tracker.record_read(key, kv)
         return kv
 
+    def _matching(self, prefix: str) -> List[str]:
+        """Keys starting with *prefix*, in key order.
+
+        Keys sharing a prefix are contiguous in sorted order and start at
+        the first key ``>= prefix``, so the scan is O(log K + matches).
+        Reference mode (``REPRO_SLOW_KERNEL``) sorts the whole keyspace."""
+        if fastpath.slow_kernel:
+            return [k for k in sorted(self._data) if k.startswith(prefix)]
+        keys = self._keys
+        i = bisect_left(keys, prefix)
+        j = i
+        n = len(keys)
+        while j < n and keys[j].startswith(prefix):
+            j += 1
+        return keys[i:j]
+
     def range(self, prefix: str) -> List[KeyValue]:
         """All key-values whose key starts with *prefix*, key-ordered."""
-        out = [kv for k, kv in sorted(self._data.items()) if k.startswith(prefix)]
+        data = self._data
+        out = [data[k] for k in self._matching(prefix)]
         if self.tracker is not None:
             for kv in out:
                 self.tracker.record_read(kv.key, kv)
@@ -120,10 +143,11 @@ class Etcd:
         a tracked ``get``), so recording them would only attribute
         cache-refill noise to whichever process happened to trigger the
         rebuild."""
-        return [kv for k, kv in sorted(self._data.items()) if k.startswith(prefix)]
+        data = self._data
+        return [data[k] for k in self._matching(prefix)]
 
     def keys(self, prefix: str = "") -> Iterator[str]:
-        return (k for k in sorted(self._data) if k.startswith(prefix))
+        return iter(self._matching(prefix))
 
     def __len__(self) -> int:
         return len(self._data)
@@ -136,6 +160,8 @@ class Etcd:
         create_rev = prev.create_revision if prev else self._revision
         kv = KeyValue(key, value, create_rev, self._revision)
         self._data[key] = kv
+        if prev is None:
+            insort(self._keys, key)
         if self.tracker is not None:
             self.tracker.record_write(key, prev, kv, blind=blind)
         self._notify(WatchEvent(WatchEventType.PUT, kv, prev))
@@ -164,6 +190,8 @@ class Etcd:
         prev = self._data.pop(key, None)
         if prev is None:
             return None
+        keys = self._keys
+        del keys[bisect_left(keys, key)]
         self._revision += 1
         if self.tracker is not None:
             self.tracker.record_delete(key, prev)
