@@ -265,6 +265,17 @@ class APIServer:
         kv = self.etcd.get(self._key(kind, namespace, name))
         return None if kv is None else kv.value
 
+    def peek_list(self, kind: str) -> List[Any]:
+        """All objects of *kind* **without cloning** — strictly read-only.
+
+        The list counterpart of :meth:`peek`: the returned objects are the
+        etcd-stored values themselves, key-ordered, each already carrying
+        its final resource version. Outage gating and kind checking match
+        :meth:`list` exactly."""
+        self._gate()
+        self._check_kind(kind)
+        return [kv.value for kv in self.etcd.range(f"/registry/{kind}/")]
+
     def list(
         self,
         kind: str,

@@ -21,6 +21,7 @@ from __future__ import annotations
 from typing import Generator, List
 
 from ..obs import runtime as obs
+from ..perf import fastpath
 from ..sim import Environment
 from .apiserver import APIServer, Conflict, NotFound, ServiceUnavailable
 from .objects import Node, Pod, PodPhase
@@ -68,11 +69,18 @@ class NodeLifecycleController:
         while True:
             yield self.env.timeout(self.monitor_interval)
             try:
-                nodes = self.api.nodes()
+                # Read-only scan: every write below re-reads through _mark.
+                nodes = (
+                    self.api.nodes()
+                    if fastpath.slow_kernel
+                    else self.api.peek_list("Node")
+                )
             except ServiceUnavailable:
                 continue
-            stale = [n for n in nodes if self._is_stale(n)]
-            fresh = [n for n in nodes if not self._is_stale(n)]
+            stale: List[Node] = []
+            fresh: List[Node] = []
+            for n in nodes:
+                (stale if self._is_stale(n) else fresh).append(n)
             quorum_lost = (
                 len(nodes) > 1
                 and len(stale) / len(nodes) >= self.eviction_pause_fraction
