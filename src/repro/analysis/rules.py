@@ -105,12 +105,12 @@ _FIX_HOT_COPY = (
     "hot function; suppress with a justification when the copy IS the "
     "reference path"
 )
-_FIX_SIM_BUCKET = (
-    "serve ordered pops from the calendar queue's bucket index "
-    "(repro.sim.calqueue.CalendarQueue buckets events by timestamp and "
-    "sorts one bucket lazily at pop time) instead of copying or "
-    "re-sorting the whole queue per event; suppress with a justification "
-    "when the copy IS the reference path"
+_FIX_SIM_HEAP = (
+    "serve ordered pops from the kernel's binary heap (Environment "
+    "pushes and pops with the bound C heapq functions) and let "
+    "_pop_live drain cancelled entries lazily at the head, instead of "
+    "copying or re-sorting the whole queue per event; suppress with a "
+    "justification when the copy IS the reference path"
 )
 _FIX_REVOKE = (
     "route deletions through repro.policy.revocation.safe_delete / "
@@ -183,8 +183,8 @@ ALL_RULES: Tuple[RuleInfo, ...] = (
         "per-pass bug class the device-view index exists to kill. Inside "
         "`src/repro/sim/**` every function is a kernel function and is "
         "hot by definition (no marker needed): the kernel dispatches once "
-        "per event, so the fix is the calendar queue's bucket index, not "
-        "a per-event copy. Dunder methods and @property accessors are "
+        "per event, so the fix is the heap and its lazy _pop_live drain, "
+        "not a per-event copy. Dunder methods and @property accessors are "
         "exempt (construction and introspection, not dispatch).",
         _FIX_HOT_COPY,
     ),
@@ -872,7 +872,7 @@ def _hot_functions(ctx: FileContext) -> Iterator[ast.AST]:
 
 
 def _check_hot_path_copies(ctx: FileContext) -> Iterator[Finding]:
-    fixit = _FIX_SIM_BUCKET if _sim_kernel_rule_applies(ctx.path) else None
+    fixit = _FIX_SIM_HEAP if _sim_kernel_rule_applies(ctx.path) else None
     seen: Set[int] = set()  # nested hot functions: report each call once
     for fn in _hot_functions(ctx):
         for node in ast.walk(fn):

@@ -39,7 +39,7 @@ LAYERS = {
 }
 
 #: absolute speedup floors (fast vs reference wall clock) per scenario —
-#: the end-to-end promises of the calendar-queue/fast-path PRs, enforced
+#: the end-to-end promises of the fast-path work, enforced
 #: regardless of what the checked-in baseline says.
 MIN_SPEEDUPS = {"fig8": 5.0, "chaos": 2.0, "failover": 2.0}
 #: a scenario's speedup may drop at most this fraction below baseline.

@@ -420,7 +420,8 @@ class TestRPR008HotPathCopies:
 class TestRPR008SimKernel:
     """Inside ``src/repro/sim/**`` every kernel function is implicitly
     hot — no ``# hot-path`` marker required — and the fix-it points at
-    the calendar queue's bucket index instead of the device-view index."""
+    the kernel's heap and its ``_pop_live`` drain instead of the
+    device-view index."""
 
     SIM = "src/repro/sim/fake.py"
 
@@ -440,8 +441,8 @@ class TestRPR008SimKernel:
             def peek(self):
                 return list(self.buckets)[0]
         """, self.SIM)
-        assert "calqueue.CalendarQueue" in out[0].fixit
-        assert "bucket" in out[0].fixit
+        assert "heap" in out[0].fixit
+        assert "_pop_live" in out[0].fixit
 
     def test_same_source_outside_sim_clean(self):
         # Without the marker the identical source is clean elsewhere:

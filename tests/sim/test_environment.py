@@ -1,6 +1,10 @@
-"""Unit tests for the Environment: clock, run(), determinism."""
+"""Unit tests for the Environment: clock, run(), determinism, queue order."""
+
+from itertools import count
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim import EmptySchedule, Environment
 
@@ -212,3 +216,138 @@ class TestDeterminism:
             return trace
 
         assert trace_run() == trace_run()
+
+
+# Delays mix a coarse grid (forcing same-tick collisions), a dense near
+# range and a far range, so near and far timers interleave in the heap.
+_DELAYS = st.one_of(
+    st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.0, 5.0]),
+    st.floats(min_value=0.0, max_value=40.0, allow_nan=False, allow_infinity=False),
+    st.floats(min_value=500.0, max_value=1e6, allow_nan=False, allow_infinity=False),
+)
+_PRIORITIES = st.integers(min_value=0, max_value=2)
+
+
+class _Recorder:
+    """Schedules tagged events on an Environment and records dispatches.
+
+    ``live`` mirrors the expected queue as ``(time, priority, seq, tag)``
+    tuples: the kernel must dispatch its minimum next."""
+
+    def __init__(self, env):
+        self.env = env
+        self.fired = []
+        self.live = []
+        self.events = {}
+        self._seq = count()
+
+    def schedule(self, delay, priority):
+        tag = next(self._seq)
+        ev = self.env.event()
+        ev.callbacks.append(lambda _ev, tag=tag: self.fired.append(tag))
+        self.env.schedule(ev, priority, delay)
+        self.live.append((self.env.now + delay, priority, tag, tag))
+        self.events[tag] = ev
+
+    def cancel(self, index):
+        entry = self.live.pop(index % len(self.live))
+        self.events[entry[3]].cancel()
+        return entry
+
+    def step_and_check(self):
+        expected = min(self.live)
+        self.live.remove(expected)
+        self.env.step()
+        assert self.fired[-1] == expected[3]
+        assert self.env.now == expected[0]
+
+
+class TestQueueOrder:
+    """Events pop in exact ``(time, priority, insertion)`` order, and
+    cancelled events are drained by ``_pop_live`` without being seen."""
+
+    def test_same_tick_priority_ties(self, env):
+        rec = _Recorder(env)
+        for priority in [2, 0, 1, 0, 2, 1]:
+            rec.schedule(5.0, priority)
+        env.run()
+        # Priority breaks the time tie, then insertion order breaks the
+        # priority tie.
+        assert rec.fired == [1, 3, 2, 5, 0, 4]
+
+    @given(
+        ops=st.lists(
+            st.one_of(
+                st.tuples(st.just("schedule"), _DELAYS, _PRIORITIES),
+                st.tuples(st.just("step")),
+            ),
+            max_size=300,
+        )
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_interleaved_schedule_step_matches_sorted_model(self, ops):
+        env = Environment()
+        rec = _Recorder(env)
+        for op in ops:
+            if op[0] == "schedule":
+                rec.schedule(op[1], op[2])
+            elif rec.live:
+                rec.step_and_check()
+        while rec.live:
+            rec.step_and_check()
+        assert env.peek() == float("inf")
+
+    @given(
+        delays=st.lists(_DELAYS, min_size=1, max_size=200),
+        priorities=st.lists(_PRIORITIES, min_size=1, max_size=200),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_bulk_schedule_drains_in_sorted_order(self, delays, priorities):
+        env = Environment()
+        rec = _Recorder(env)
+        for i, delay in enumerate(delays):
+            rec.schedule(delay, priorities[i % len(priorities)])
+        expected = [entry[3] for entry in sorted(rec.live)]
+        env.run()
+        assert rec.fired == expected
+        assert env.events_processed == len(delays)
+
+    @given(
+        ops=st.lists(
+            st.one_of(
+                st.tuples(st.just("schedule"), _DELAYS, _PRIORITIES),
+                st.tuples(st.just("cancel"), st.integers(0, 10**6)),
+                st.tuples(
+                    st.just("reschedule"), st.integers(0, 10**6), _DELAYS, _PRIORITIES
+                ),
+                st.tuples(st.just("step")),
+            ),
+            max_size=200,
+        )
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_cancel_reschedule_through_pop_live(self, ops):
+        """A reschedule is cancel + fresh entry, as ``Timeout``/``Process``
+        rescheduling does it. Tombstones are skipped by ``step`` and
+        ``peek`` alike: they never fire, never move the clock and never
+        count as processed."""
+        env = Environment()
+        rec = _Recorder(env)
+        for op in ops:
+            if op[0] == "schedule":
+                rec.schedule(op[1], op[2])
+            elif op[0] == "cancel" and rec.live:
+                rec.cancel(op[1])
+            elif op[0] == "reschedule" and rec.live:
+                rec.cancel(op[1])
+                rec.schedule(op[2], op[3])
+            elif op[0] == "step" and rec.live:
+                assert env.peek() == min(rec.live)[0]
+                rec.step_and_check()
+        while rec.live:
+            assert env.peek() == min(rec.live)[0]
+            rec.step_and_check()
+        assert env.peek() == float("inf")
+        with pytest.raises(EmptySchedule):
+            env.step()
+        assert env.events_processed == len(rec.fired)
