@@ -8,11 +8,12 @@ from repro.cluster.apiserver import (
     APIServer,
     Conflict,
     NotFound,
+    ServiceUnavailable,
     UnknownKind,
     translate_event,
 )
 from repro.cluster.etcd import WatchEventType
-from repro.cluster.objects import LabelSelector, ObjectMeta, Pod, PodPhase
+from repro.cluster.objects import LabelSelector, Node, ObjectMeta, Pod, PodPhase
 from repro.sim import Environment
 
 
@@ -129,6 +130,44 @@ class TestBind:
         api.bind("p1", "node-1")
         with pytest.raises(Conflict):
             api.bind("p1", "node-2")
+
+
+class TestPeekList:
+    """``peek_list`` is ``list`` without the clones, gated like ``peek``."""
+
+    def test_returns_the_stored_objects_with_final_rv(self, api):
+        api.create(make_pod("p2"))
+        api.create(make_pod("p1"))
+        api.patch("Pod", "p1", lambda p: setattr(p.status, "message", "patched"))
+        api.create(Node(metadata=ObjectMeta(name="n1", namespace="")))
+        peeked = api.peek_list("Pod")
+        stored = api.etcd.range("/registry/Pod/")
+        assert len(peeked) == len(stored) == 2
+        for obj, kv in zip(peeked, stored):
+            assert obj is kv.value
+            assert obj.metadata.resource_version == kv.mod_revision
+        listed = api.list("Pod")
+        assert [o.name for o in peeked] == [o.name for o in listed] == ["p1", "p2"]
+        assert [o.metadata.resource_version for o in peeked] == [
+            o.metadata.resource_version for o in listed
+        ]
+        assert peeked[0].status.message == "patched"
+
+    def test_outage_raises_service_unavailable(self, api):
+        api.create(make_pod("p1"))
+        api.set_outage(5.0)
+        with pytest.raises(ServiceUnavailable):
+            api.peek("Pod", "p1")
+        with pytest.raises(ServiceUnavailable):
+            api.peek_list("Pod")
+        api.env.run(until=5.0)
+        assert [p.name for p in api.peek_list("Pod")] == ["p1"]
+
+    def test_unknown_kind_rejected(self, api):
+        with pytest.raises(UnknownKind):
+            api.peek("Widget", "w")
+        with pytest.raises(UnknownKind):
+            api.peek_list("Widget")
 
 
 class TestWatch:

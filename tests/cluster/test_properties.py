@@ -1,11 +1,13 @@
 """Property-based tests for the control-plane data structures."""
 # repro-lint: disable=RPR004 - hypothesis drives the raw etcd API; blind puts are the generated ops
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.controller import WorkQueue
-from repro.cluster.etcd import Etcd, WatchEventType
+from repro.cluster.etcd import CasFailure, Etcd, WatchEventType
+from repro.perf import fastpath
 from repro.sim import Environment
 
 # -- etcd: replaying the watch stream reconstructs the final state ----------
@@ -54,6 +56,70 @@ class TestEtcdProperties:
                 etcd.delete(key)
         revisions = [ev.kv.mod_revision for ev in watch.events.items]
         assert revisions == sorted(set(revisions))
+
+
+# -- etcd: prefix reads equal a brute-force sort + startswith ----------------
+
+# Keys that share prefixes without sharing a kind: "/registry/Pod/a" is a
+# prefix of "/registry/Pod/a-1", and "/registry/Pod" of "/registry/PodX/a".
+_SHARED_PREFIX_KEYS = [
+    "/registry/Pod/a",
+    "/registry/Pod/a-1",
+    "/registry/Pod/ab/x",
+    "/registry/PodX/a",
+    "/n",
+]
+# Every prefix of every key (kind boundaries or not, "" included), plus
+# prefixes that sort before, between and after all keys.
+_PREFIXES = sorted(
+    {k[:i] for k in _SHARED_PREFIX_KEYS for i in range(len(k) + 1)}
+    | {"/registry/Pod/a0", "/registry/Q", "/m", "/o", "~"}
+)
+
+etcd_write_ops = st.lists(
+    st.tuples(
+        st.sampled_from(["put", "put_if", "put_if_stale", "delete"]),
+        st.sampled_from(_SHARED_PREFIX_KEYS),
+        st.integers(0, 100),
+    ),
+    max_size=60,
+)
+
+
+class TestEtcdPrefixIndex:
+    @pytest.mark.parametrize("slow", [False, True], ids=["fast", "reference"])
+    @given(ops=etcd_write_ops)
+    @settings(max_examples=150, deadline=None)
+    def test_prefix_reads_match_brute_force(self, slow, ops):
+        with fastpath.force(slow):
+            etcd = Etcd(Environment())
+            model = {}
+            for op, key, value in ops:
+                if op == "put":
+                    etcd.put(key, value)
+                    model[key] = value
+                elif op == "delete":
+                    etcd.delete(key)
+                    model.pop(key, None)
+                else:
+                    kv = etcd.get(key)
+                    current = kv.mod_revision if kv is not None else 0
+                    # A stale revision must fail and leave the index alone.
+                    expected = current + 1 if op == "put_if_stale" else current
+                    try:
+                        etcd.put_if(key, value, mod_revision=expected)
+                    except CasFailure:
+                        assert op == "put_if_stale"
+                    else:
+                        assert op == "put_if"
+                        model[key] = value
+                for p in _PREFIXES:
+                    want = [(k, model[k]) for k in sorted(model) if k.startswith(p)]
+                    assert [(kv.key, kv.value) for kv in etcd.range(p)] == want
+                    assert [(kv.key, kv.value) for kv in etcd.snapshot(p)] == want
+                    assert list(etcd.keys(p)) == [k for k, _ in want]
+            assert list(etcd.keys()) == sorted(model)
+            assert len(etcd) == len(model)
 
 
 # -- workqueue: no key is ever lost, and no key is double-processed -----------
