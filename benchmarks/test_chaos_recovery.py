@@ -10,109 +10,38 @@ run repeats the *same* fault schedule with the recovery machinery
 disabled (``node_lifecycle=False``) and demonstrably does not recover.
 """
 
-import os
-
 import pytest
 
-from repro.analysis import install_from_env
-from repro.chaos import ChaosEngine, FaultKind
-from repro.cluster import Cluster, ClusterConfig
+from repro.chaos import FaultKind
 from repro.cluster.objects import PodPhase
-from repro.core import KubeShare
-from repro.obs import ENV_DIR as OBS_DIR
-from repro.obs import disable as obs_disable
-from repro.obs import install_from_env as obs_install
-from repro.sim import Environment
-from repro.workloads.jobs import InferenceJob
+from repro.scenarios import CHAOS_FAULT_AT as FAULT_AT
+from repro.scenarios import CHAOS_POST_WINDOW as POST_WINDOW
+from repro.scenarios import chaos
 
 pytestmark = pytest.mark.benchmark(group="chaos")
 
-SEED = 11
-N_JOBS = 6
-DEMAND = 0.35
-FAULT_AT = 45.0
-#: displaced SharePods must be RUNNING again within this many virtual
-#: seconds of the crash (lease 4 s + eviction + reschedule + pod start).
-RESCHEDULE_BOUND = 20.0
-PRE_WINDOW = (25.0, 40.0)
-POST_WINDOW = (70.0, 85.0)
-
 
 def run_scenario(recovery: bool) -> dict:
-    env = Environment()
-    cluster = Cluster(
-        env,
-        ClusterConfig(nodes=4, gpus_per_node=2, node_lifecycle=recovery),
-    ).start()
-    # Opt-in dynamic race detection (REPRO_RACE_DETECT=1, set by the CI
-    # smoke jobs): flags lost updates, double-bound vGPUs, and token
-    # over-grants the moment they happen inside the chaos schedule.
-    detector = install_from_env(cluster)
-    ks = KubeShare(cluster, isolation="token").start()
-    # Opt-in observability (REPRO_OBS=1): spans, Events, decision log, and
-    # metric families for this run, exported to REPRO_OBS_DIR afterwards.
-    label = "chaos-recovery" if recovery else "chaos-control"
-    hub = obs_install(cluster, kubeshare=ks, label=label)
-
-    stats = []
-    names = []
-    for i in range(N_JOBS):
-        job = InferenceJob.from_demand(f"job{i}", demand=DEMAND, duration=400.0)
-        workload = job.workload()
-        stats.append(workload.stats)
-        names.append(f"sp{i}")
-        ks.submit(ks.make_sharepod(
-            f"sp{i}", gpu_request=DEMAND, gpu_limit=0.6, gpu_mem=0.3,
-            workload=workload, restart_policy="reschedule",
-        ))
-
-    engine = ChaosEngine(cluster, kubeshare=ks, seed=SEED)
-    engine.node_crash(at=FAULT_AT)
-    engine.start()
-
-    def total_work() -> float:
-        return sum(s.work_done for s in stats)
-
-    def rate(window) -> float:
-        t0, t1 = window
-        if env.now < t0:
-            env.run(until=t0)
-        w0 = total_work()
-        env.run(until=t1)
-        return (total_work() - w0) / (t1 - t0)
-
-    pre_rate = rate(PRE_WINDOW)
-
-    # Who lived where just before the fault?
-    env.run(until=FAULT_AT - 0.5)
-    homes = {n: ks.get(n).spec.node_name for n in names}
-
-    env.run(until=FAULT_AT + RESCHEDULE_BOUND)
-    [(t_fault, fault, victim, outcome)] = engine.log
+    # The scenario itself lives in repro.scenarios; REPRO_RACE_DETECT and
+    # REPRO_OBS (set by the CI smoke jobs) arm the race detector and the
+    # obs hub there, and the hub's artifacts land in REPRO_OBS_DIR.
+    run = chaos(recovery=recovery)
+    ks, obs = run["ks"], run["obs"]
+    [(t_fault, fault, victim, outcome)] = run["engine"].log
     assert fault.kind is FaultKind.NODE_CRASH
-    displaced = [n for n in names if homes[n] == victim]
-    placed = {n: (ks.get(n).status.phase, ks.get(n).spec.node_name) for n in names}
-
-    post_rate = rate(POST_WINDOW)
-    if detector is not None:
-        detector.check()  # fails loudly on any recorded violation
-    slo_alerts = None
-    if hub is not None:
-        hub.export_dir(os.environ.get(OBS_DIR, "obs-artifacts"))
-        slo_alerts = [a.to_dict() for a in hub.slo.alerts] if hub.slo else []
-        obs_disable()
+    homes = run["homes"]
     return {
-        "slo_alerts": slo_alerts,
-        "pre_rate": pre_rate,
-        "post_rate": post_rate,
+        "slo_alerts": obs["slo"]["alerts"] if obs else None,
+        "pre_rate": run["summary"]["pre_rate"],
+        "post_rate": run["summary"]["post_rate"],
         "victim": victim,
         "outcome": outcome,
-        "displaced": displaced,
-        "placed": placed,
+        "displaced": [n for n in homes if homes[n] == victim],
+        "placed": run["placed_at_bound"],
         "rescheduled": ks.devmgr.sharepods_rescheduled_total,
         "torn_down": ks.devmgr.vgpus_torn_down_total,
         "not_ready": (
-            cluster.node_lifecycle.not_ready_total if recovery else 0
+            run["cluster"].node_lifecycle.not_ready_total if recovery else 0
         ),
     }
 

@@ -14,90 +14,29 @@ Failover runs are deterministic: the same seed produces identical
 promotion times and an identical final placement map.
 """
 
-import os
-
 import pytest
 
-from repro.analysis import install_from_env
-from repro.chaos import ChaosEngine, FaultKind
-from repro.cluster import Cluster, ClusterConfig
+from repro.chaos import FaultKind
 from repro.cluster.objects import PodPhase
-from repro.core import HAKubeShare, PLACEHOLDER_PREFIX, reset_gpuid_counter
-from repro.obs import ENV_DIR as OBS_DIR
-from repro.obs import disable as obs_disable
-from repro.obs import install_from_env as obs_install
-from repro.sim import Environment
+from repro.core import PLACEHOLDER_PREFIX
+from repro.scenarios import FAILOVER_BURST, FAILOVER_STEADY, failover
+from repro.scenarios import FAILOVER_FAULT_AT as FAULT_AT
 
 pytestmark = pytest.mark.benchmark(group="chaos")
 
-SEED = 13
-N_STEADY = 4
-N_BURST = 8
-BURST_START = 40.0
-BURST_GAP = 1.25
-FAULT_AT = 45.0
-HORIZON = 70.0
 EPS = 1e-6
 
 _ACTIVE = (PodPhase.PENDING, PodPhase.RUNNING)
 
 
 def run_scenario(replicas: int) -> dict:
-    from repro.workloads.jobs import InferenceJob
-
-    # A fresh control plane restarts GPUID generation: placements replay
-    # bit-for-bit (Algorithm 1 breaks ties by GPUID order) regardless of
-    # what ran earlier in this process.
-    reset_gpuid_counter()
-    env = Environment()
-    cluster = Cluster(env, ClusterConfig(nodes=4, gpus_per_node=2)).start()
-    # Opt-in dynamic race detection (REPRO_RACE_DETECT=1, set by the CI
-    # smoke jobs): flags lost updates, double-bound vGPUs, and token
-    # over-grants the moment they happen inside the failover schedule.
-    detector = install_from_env(cluster)
-    ks = HAKubeShare(cluster, replicas=replicas, isolation="token").start()
-    # Opt-in observability (REPRO_OBS=1): spans, Events, decision log, and
-    # metric families for this run, exported to REPRO_OBS_DIR afterwards.
-    hub = obs_install(cluster, kubeshare=ks, label=f"failover-r{replicas}")
-
-    steady = [f"steady{i}" for i in range(N_STEADY)]
-    burst = [f"burst{i}" for i in range(N_BURST)]
-    for name in steady:
-        job = InferenceJob.from_demand(name, demand=0.35, duration=400.0)
-        ks.submit(ks.make_sharepod(
-            name, gpu_request=0.35, gpu_limit=0.6, gpu_mem=0.3,
-            workload=job.workload(),
-        ))
-
-    def submitter():
-        for name in burst:
-            job = InferenceJob.from_demand(name, demand=0.2, duration=200.0)
-            ks.submit(ks.make_sharepod(
-                name, gpu_request=0.2, gpu_limit=0.4, gpu_mem=0.3,
-                workload=job.workload(),
-            ))
-            yield env.timeout(BURST_GAP)
-
-    def start_burst():
-        yield env.timeout(BURST_START)
-        env.process(submitter(), name="burst-submitter")
-
-    env.process(start_burst(), name="burst-starter")
-
-    engine = ChaosEngine(cluster, kubeshare=ks, seed=SEED)
-    engine.register_controllers(ks.sched_group, ks.devmgr_group)
-    engine.controller_crash(at=FAULT_AT, target="kubeshare-devmgr")
-    engine.start()
-
-    env.run(until=HORIZON)
-    if detector is not None:
-        detector.check()  # fails loudly on any recorded violation
-    slo_alerts = None
-    if hub is not None:
-        hub.export_dir(os.environ.get(OBS_DIR, "obs-artifacts"))
-        slo_alerts = [a.to_dict() for a in hub.slo.alerts] if hub.slo else []
-        obs_disable()
-
+    # The scenario itself lives in repro.scenarios (which also resets
+    # process-global state, so placements replay bit-for-bit regardless
+    # of what ran earlier); REPRO_RACE_DETECT and REPRO_OBS arm the race
+    # detector and the obs hub there.
+    run = failover(replicas=replicas)
+    cluster, ks, obs = run["cluster"], run["ks"], run["obs"]
+    steady, burst = list(FAILOVER_STEADY), list(FAILOVER_BURST)
     names = steady + burst
     sharepods = {n: ks.get(n) for n in names}
     pods = cluster.api.list("Pod")
@@ -117,8 +56,8 @@ def run_scenario(replicas: int) -> dict:
     group = ks.devmgr_group
     new_leader = group.controllers[-1] if len(group.controllers) > 1 else None
     return {
-        "slo_alerts": slo_alerts,
-        "chaos_log": [(t, f.kind, v, o) for t, f, v, o in engine.log],
+        "slo_alerts": obs["slo"]["alerts"] if obs else None,
+        "chaos_log": [(t, f.kind, v, o) for t, f, v, o in run["engine"].log],
         "promotions": list(group.promotions),
         "sched_promotions": list(ks.sched_group.promotions),
         "failover_bound": group.failover_bound,

@@ -18,14 +18,17 @@ Subcommands:
                 speedscope/flamegraph.pl-compatible ``.folded`` file.
 
 Input is either ``--artifact FILE`` (saved by an armed benchmark, see
-``REPRO_OBS=1``) or ``--scenario failover|chaos`` to re-run a capstone
-benchmark in-process with identical seeds and constants (``profile``
-always re-runs — host timings cannot come from a saved artifact).
+``REPRO_OBS=1``) or ``--scenario NAME`` to re-run a scenario from the
+:mod:`repro.scenarios` catalogue in-process — the same definition the
+capstone benchmarks run (``profile`` always re-runs — host timings cannot
+come from a saved artifact). Only ``chaos`` and ``failover`` record an
+obs snapshot; the other names exit with a one-line error.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 from typing import Dict, Optional
@@ -40,16 +43,22 @@ __all__ = ["main"]
 def _load(args) -> Dict[str, object]:
     if args.artifact:
         return artifact_mod.load(args.artifact)
-    from .scenarios import SCENARIOS
+    return _run(args.scenario or "failover")["obs"]  # type: ignore[return-value]
 
-    name = args.scenario or "failover"
-    runner = SCENARIOS.get(name)
-    if runner is None:
-        raise SystemExit(
-            f"unknown scenario {name!r}; choose from {sorted(SCENARIOS)}"
-        )
-    print(f"running scenario {name!r} (seeded, deterministic)...", file=sys.stderr)
-    return runner()
+
+def _run(name: str, profile: bool = False) -> Dict[str, object]:
+    """Run catalogue scenario *name* under a hub labeled *name*."""
+    from ..scenarios import SCENARIOS
+
+    observable = sorted(
+        n for n, fn in SCENARIOS.items()
+        if "obs_label" in inspect.signature(fn).parameters
+    )
+    if name not in observable:
+        raise SystemExit(f"no obs snapshot for scenario {name!r}; choose from {observable}")
+    what = "profiling" if profile else "running"
+    print(f"{what} scenario {name!r} (seeded schedule)...", file=sys.stderr)
+    return SCENARIOS[name](obs_label=name, profile=profile)
 
 
 def _add_source_args(p: argparse.ArgumentParser) -> None:
@@ -59,8 +68,7 @@ def _add_source_args(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument(
         "--scenario",
-        choices=("failover", "chaos"),
-        help="re-run a capstone benchmark in-process (default: failover)",
+        help="re-run a repro.scenarios entry in-process (default: failover)",
     )
 
 
@@ -99,7 +107,6 @@ def main(argv: Optional[list] = None) -> int:
     )
     p_profile.add_argument(
         "--scenario",
-        choices=("failover", "chaos"),
         default="failover",
         help="scenario to run under the profiler (default: failover)",
     )
@@ -142,16 +149,7 @@ def main(argv: Optional[list] = None) -> int:
 
 
 def _profile(args) -> int:
-    from .scenarios import SCENARIOS
-
-    runner = SCENARIOS[args.scenario]
-    print(
-        f"profiling scenario {args.scenario!r} (schedule stays seeded and "
-        "deterministic; host timings do not)...",
-        file=sys.stderr,
-    )
-    art = runner(profile=True)
-    profile: Dict[str, object] = art["profile"]  # type: ignore[assignment]
+    profile: Dict[str, object] = _run(args.scenario, profile=True)["profile"]  # type: ignore[assignment]
     total = float(profile["total_seconds"])  # type: ignore[arg-type]
     print(
         f"{profile['dispatches']} dispatches, {total * 1e3:.1f} ms measured, "

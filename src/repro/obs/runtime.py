@@ -42,6 +42,8 @@ __all__ = [
     "enabled",
     "enable",
     "disable",
+    "env_armed",
+    "install",
     "install_from_env",
     "install_federation_from_env",
 ]
@@ -295,18 +297,23 @@ def disable() -> None:
     _hub = None
 
 
-def install_from_env(
-    cluster, kubeshare=None, label: str = "run", sampler: bool = True
-) -> Optional[ObsHub]:
-    """Arm observability when ``REPRO_OBS`` is set truthy.
+def env_armed() -> bool:
+    """Whether ``REPRO_OBS`` is set truthy."""
+    return os.environ.get(ENV_FLAG, "").strip().lower() not in _FALSY
 
-    Mirrors ``repro.analysis.race.install_from_env``: benchmarks call this
-    unconditionally and get ``None`` (no hub, no overhead) unless the
-    environment opts in.
+
+def install(
+    cluster,
+    kubeshare=None,
+    label: str = "run",
+    sampler: bool = True,
+    profile: bool = False,
+) -> ObsHub:
+    """Arm a hub on *cluster*: event write-through, sampler, SLO evaluator.
+
+    The profiler is started when *profile* is true or ``REPRO_OBS_PROFILE``
+    is set. Returns the enabled hub.
     """
-    value = os.environ.get(ENV_FLAG, "").strip().lower()
-    if value in _FALSY:
-        return None
     hub = ObsHub(cluster.env, label=label)
     hub.attach_cluster(cluster)
     if kubeshare is not None:
@@ -314,14 +321,28 @@ def install_from_env(
     if sampler:
         hub.start_sampler()
     hub.start_slo()
-    _maybe_start_profiler(hub)
+    _start_profiler(hub, profile)
     return enable(hub)
 
 
-def _maybe_start_profiler(hub: ObsHub) -> None:
+def install_from_env(
+    cluster, kubeshare=None, label: str = "run", sampler: bool = True
+) -> Optional[ObsHub]:
+    """:func:`install` when ``REPRO_OBS`` is set truthy.
+
+    Mirrors ``repro.analysis.race.install_from_env``: benchmarks call this
+    unconditionally and get ``None`` (no hub, no overhead) unless the
+    environment opts in.
+    """
+    if not env_armed():
+        return None
+    return install(cluster, kubeshare=kubeshare, label=label, sampler=sampler)
+
+
+def _start_profiler(hub: ObsHub, profile: bool = False) -> None:
     from .profile import ENV_PROFILE_FLAG
 
-    if os.environ.get(ENV_PROFILE_FLAG, "").strip().lower() not in _FALSY:
+    if profile or os.environ.get(ENV_PROFILE_FLAG, "").strip().lower() not in _FALSY:
         hub.start_profiler()
 
 
@@ -331,15 +352,14 @@ def install_federation_from_env(
     """:func:`install_from_env` for a whole federation: every member
     cluster's series is labeled ``cluster="<name>"``, and federation
     decisions/health transitions land in the shared decision log."""
-    value = os.environ.get(ENV_FLAG, "").strip().lower()
-    if value in _FALSY:
+    if not env_armed():
         return None
     hub = ObsHub(fed.env, label=label)
     hub.attach_federation(fed)
     if sampler:
         hub.start_sampler()
     hub.start_slo()
-    _maybe_start_profiler(hub)
+    _start_profiler(hub)
     return enable(hub)
 
 

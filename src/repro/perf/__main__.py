@@ -101,6 +101,8 @@ def main(argv=None) -> int:
         help="also write the report to this baseline path",
     )
     args = parser.parse_args(argv)
+    if args.fast_only and args.check:
+        parser.error("--check needs the reference runs; drop --fast-only")
 
     report = run_suite(names=args.scenarios, reference=not args.fast_only)
     write_report(report, args.out)

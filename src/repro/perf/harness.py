@@ -26,7 +26,7 @@ import time
 from typing import Any, Dict, Iterable, List, Optional
 
 from . import fastpath
-from .scenarios import SCENARIOS
+from ..scenarios import SCENARIOS
 
 __all__ = ["LAYERS", "run_scenario", "run_suite", "write_report", "check_report"]
 
@@ -130,7 +130,8 @@ def check_report(
     """Regression gate; returns a list of failures (empty = pass).
 
     Gates on the hardware-independent speedup ratio, never on raw
-    events/sec (see the module docstring), plus two absolute checks:
+    events/sec (see the module docstring), plus absolute checks: every
+    baseline scenario must have been run against the reference kernel,
     fast/reference summaries must be identical, and every scenario in
     :data:`MIN_SPEEDUPS` must keep the end-to-end speedup its
     optimization PR promised (fig8 ≥5x, chaos and failover ≥2x).
@@ -143,14 +144,20 @@ def check_report(
         if cur is None:
             errors.append(f"{name}: present in baseline but was not run")
             continue
-        if cur.get("identical") is False:
+        if "identical" not in cur or "speedup" not in cur:
+            errors.append(
+                f"{name}: no reference run to compare against (a --fast-only "
+                "report cannot pass the gate)"
+            )
+            continue
+        if not cur["identical"]:
             errors.append(
                 f"{name}: fast and reference runs diverged — an optimization "
                 "changed simulation behavior"
             )
         base_speedup = base.get("speedup")
-        cur_speedup = cur.get("speedup")
-        if base_speedup and cur_speedup is not None:
+        cur_speedup = cur["speedup"]
+        if base_speedup:
             floor = base_speedup * (1.0 - tolerance)
             if cur_speedup < floor:
                 errors.append(

@@ -33,7 +33,7 @@ def run_seed(task: _Task) -> Dict[str, Any]:
     """
     name, seed, slow = task
     from . import fastpath
-    from .scenarios import SCENARIOS
+    from ..scenarios import SCENARIOS
 
     fn = SCENARIOS[name]
     with fastpath.force(slow):
@@ -55,7 +55,7 @@ def run_sweep(
     log=print,
 ) -> Dict[str, Any]:
     """Run *scenario* at every seed; returns the merged report dict."""
-    from .scenarios import SCENARIOS
+    from ..scenarios import SCENARIOS
 
     if scenario not in SCENARIOS:
         raise KeyError(f"unknown scenario {scenario!r} (have {sorted(SCENARIOS)})")

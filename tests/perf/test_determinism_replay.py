@@ -23,7 +23,7 @@ import pytest
 
 from repro.obs.tracing import chrome_trace_json
 from repro.perf import fastpath
-from repro.perf.scenarios import chaos, failover
+from repro.scenarios import chaos, failover
 
 
 def _dump(value):
