@@ -242,6 +242,9 @@ class MetricsRegistry:
         self.counters: Dict[str, float] = {}
         self.series: Dict[str, TimeSeries] = {}
         self.histograms: Dict[str, Histogram] = {}
+        #: name -> the boundaries tuple last checked equal to the
+        #: histogram's own, so a restating lookup validates once.
+        self._checked: Dict[str, Sequence[float]] = {}
 
     def incr(self, name: str, amount: float = 1.0) -> None:
         self.counters[name] = self.counters.get(name, 0.0) + amount
@@ -273,8 +276,12 @@ class MetricsRegistry:
                 window=window if window is not None else 10.0,
             )
             self.histograms[name] = hist
-        elif boundaries is not None and tuple(float(b) for b in boundaries) != hist.boundaries:
-            raise ValueError(f"histogram {name!r} already exists with different boundaries")
+        elif boundaries is not None and boundaries is not self._checked.get(name):
+            if tuple(float(b) for b in boundaries) != hist.boundaries:
+                raise ValueError(f"histogram {name!r} already exists with different boundaries")
+            if isinstance(boundaries, tuple):
+                # Only an immutable restatement may skip the next check.
+                self._checked[name] = boundaries
         return hist
 
     def observe(

@@ -77,12 +77,19 @@ class HistogramInstruments:
     def __init__(self, registry: MetricsRegistry, window: float = 10.0) -> None:
         self.registry = registry
         self.window = window
+        #: (family, *label items) -> (rendered registry key, boundaries).
+        self._names: Dict[tuple, Tuple[str, Tuple[float, ...]]] = {}
 
     def observe(self, family: str, t: float, value: float, **labels: object) -> None:
-        boundaries = HISTOGRAM_FAMILIES.get(family, DEFAULT_LATENCY_BOUNDARIES)
-        self.registry.observe(
-            metric(family, **labels), t, value, boundaries=boundaries, window=self.window
-        )
+        key = (family, *labels.items())
+        entry = self._names.get(key)
+        if entry is None:
+            entry = self._names[key] = (
+                metric(family, **labels),
+                HISTOGRAM_FAMILIES.get(family, DEFAULT_LATENCY_BOUNDARIES),
+            )
+        name, boundaries = entry
+        self.registry.observe(name, t, value, boundaries=boundaries, window=self.window)
 
     # -- span-shaped seams --------------------------------------------------
     def on_span_end(self, span) -> None:

@@ -13,6 +13,11 @@ journey: apiserver write → scheduler decision → DevMgr bind → kubelet
 Allocate → container start → token grants → kernel bursts) is stitched
 with a shared ``trace_id`` (the SharePod's ``namespace/name`` key).
 
+Only processes with an open span have a stack. A span remembers the
+stack it joined, so closing it is O(1) in the number of processes ever
+traced; an emptied stack is dropped, which also lets a finished process
+be garbage-collected.
+
 Export is Chrome trace-event JSON (``ph: "X"`` duration events plus
 ``ph: "i"`` instants, microsecond timestamps), directly loadable in
 Perfetto / ``chrome://tracing``.
@@ -21,9 +26,8 @@ Perfetto / ``chrome://tracing``.
 from __future__ import annotations
 
 import json
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, List, Optional
 
 __all__ = ["Span", "Tracer"]
 
@@ -33,9 +37,13 @@ STATUS_ERROR = "error"
 STATUS_OPEN = "open"
 
 
-@dataclass
+#: stack-table key for spans opened outside any simulated process.
+_ROOT = "<root>"
+
+
+@dataclass(eq=False, slots=True)
 class Span:
-    """One timed operation in virtual time."""
+    """One timed operation in virtual time (compares by identity)."""
 
     span_id: int
     name: str
@@ -51,6 +59,9 @@ class Span:
     attrs: Dict[str, object] = field(default_factory=dict)
     #: zero-duration marker (rendered as a Chrome instant event).
     instant: bool = False
+    #: owner key and stack while the span sits on a process stack.
+    _owner: object = field(default=None, init=False, repr=False)
+    _stack: Optional[List["Span"]] = field(default=None, init=False, repr=False)
 
     @property
     def duration(self) -> float:
@@ -93,10 +104,9 @@ class Tracer:
         self.on_end = None
 
     # -- recording ---------------------------------------------------------
-    def _stack(self) -> List[Span]:
+    def _key(self) -> object:
         proc = getattr(self.env, "active_process", None)
-        key = proc if proc is not None else "<root>"
-        return self._stacks.setdefault(key, [])
+        return proc if proc is not None else _ROOT
 
     def start(
         self,
@@ -114,7 +124,8 @@ class Tracer:
         long-lived story spans (SharePod journeys, leadership reigns)
         whose lifetime is not lexical.
         """
-        stack = self._stack()
+        key = self._key()
+        stack = self._stacks.get(key)
         if parent is None and not detached and stack:
             parent = stack[-1]
         if trace_id is None and parent is not None:
@@ -134,7 +145,11 @@ class Tracer:
         else:
             self.dropped += 1
         if not detached:
+            if stack is None:
+                stack = self._stacks[key] = []
             stack.append(span)
+            span._owner = key
+            span._stack = stack
         return span
 
     def end(self, span: Span, status: str = STATUS_OK) -> Span:
@@ -143,15 +158,17 @@ class Tracer:
         if fresh:
             span.end = self.env.now
             span.status = status
-        for stack in self._stacks.values():
-            if span in stack:
-                stack.remove(span)
-                break
+        stack = span._stack
+        if stack is not None:
+            stack.remove(span)  # by identity: ``Span`` has ``eq=False``
+            # After close_open the table may hold a newer stack for the owner.
+            if not stack and self._stacks.get(span._owner) is stack:
+                del self._stacks[span._owner]
+            span._owner = span._stack = None
         if fresh and self.on_end is not None:
             self.on_end(span)
         return span
 
-    @contextmanager
     def span(
         self,
         name: str,
@@ -159,21 +176,14 @@ class Tracer:
         parent: Optional[Span] = None,
         trace_id: Optional[str] = None,
         **attrs: object,
-    ) -> Iterator[Span]:
+    ) -> _SpanCtx:
         """Context manager: closes ``ok`` on exit, ``error`` on exception.
 
         Any exception — including ``GeneratorExit`` when the enclosing
         simulated process is killed mid-span — closes the span with error
-        status instead of leaking it open.
+        status instead of leaking it open. The span opens on entry.
         """
-        span = self.start(name, track, parent=parent, trace_id=trace_id, attrs=attrs)
-        try:
-            yield span
-        except BaseException:
-            self.end(span, status=STATUS_ERROR)
-            raise
-        else:
-            self.end(span, status=STATUS_OK)
+        return _SpanCtx(self, name, track, parent, trace_id, attrs)
 
     def instant(
         self,
@@ -183,7 +193,7 @@ class Tracer:
         **attrs: object,
     ) -> Span:
         """Record a zero-duration marker (does not affect the span stack)."""
-        stack = self._stack()
+        stack = self._stacks.get(self._key())
         parent = stack[-1] if stack else None
         if trace_id is None and parent is not None:
             trace_id = parent.trace_id
@@ -226,6 +236,33 @@ class Tracer:
 
     def to_dicts(self) -> List[Dict[str, object]]:
         return [s.to_dict() for s in self.spans]
+
+
+class _SpanCtx:
+    """What :meth:`Tracer.span` returns: opens the span on entry and
+    closes it ``ok`` or ``error`` on exit (never suppresses)."""
+
+    __slots__ = ("tracer", "name", "track", "parent", "trace_id", "attrs", "span")
+
+    def __init__(self, tracer, name, track, parent, trace_id, attrs) -> None:
+        self.tracer = tracer
+        self.name = name
+        self.track = track
+        self.parent = parent
+        self.trace_id = trace_id
+        self.attrs = attrs
+        self.span: Optional[Span] = None
+
+    def __enter__(self) -> Span:
+        self.span = self.tracer.start(
+            self.name, self.track, parent=self.parent, trace_id=self.trace_id,
+            attrs=self.attrs,
+        )
+        return self.span
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        self.tracer.end(self.span, STATUS_OK if exc_type is None else STATUS_ERROR)
+        return False
 
 
 # -- Chrome trace-event export --------------------------------------------

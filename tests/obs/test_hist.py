@@ -108,6 +108,18 @@ class TestRegistry:
         reg.histogram("repro_x_seconds", boundaries=(1.0,))
         with pytest.raises(ValueError, match="different boundaries"):
             reg.histogram("repro_x_seconds", boundaries=(2.0,))
+        # Observations through the validate-once path do not switch the
+        # check off for a different restatement.
+        bounds = (1.0,)
+        for t in range(3):
+            reg.observe("repro_x_seconds", float(t), 0.5, boundaries=bounds)
+        with pytest.raises(ValueError, match="different boundaries"):
+            reg.observe("repro_x_seconds", 3.0, 0.5, boundaries=(1.0, 2.0))
+        # Equal boundaries restated as a list are accepted.
+        assert reg.histogram("repro_x_seconds", boundaries=[1]) is reg.histogram(
+            "repro_x_seconds"
+        )
+        assert reg.histograms["repro_x_seconds"].count == 3
 
     def test_default_boundaries_include_slo_thresholds(self):
         # The default SLO thresholds must be exact bucket boundaries so

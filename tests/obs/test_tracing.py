@@ -181,3 +181,70 @@ class TestChromeExport:
         doc = json.loads(chrome_trace_json(tracer.to_dicts()))
         assert doc["displayTimeUnit"] == "ms"
         assert any(e.get("ph") == "X" for e in doc["traceEvents"])
+
+
+class TestBoundedBookkeeping:
+    """Closing a span is O(1) in the processes ever traced: only
+    processes with an open span keep a stack in the table."""
+
+    def test_short_lived_processes_leave_no_stacks(self, env, tracer):
+        def worker(i):
+            with tracer.span("work", "ctl", key=i):
+                yield env.timeout(1)
+            tracer.instant("done", "ctl")
+            tracer.end(tracer.start("journey", "sharepod", detached=True))
+
+        for i in range(1000):
+            env.process(worker(i))
+        env.run()
+        assert len(tracer.spans) == 3000
+        assert tracer.open_spans() == []
+        assert tracer._stacks == {}
+
+    def test_out_of_order_and_cross_process_end(self, env, tracer):
+        opened = {}
+
+        def owner():
+            a = tracer.start("a", "ctl")
+            b = tracer.start("b", "ctl")
+            c = tracer.start("c", "ctl")
+            d = tracer.start("d", "ctl")
+            opened.update(a=a, b=b, c=c, d=d)
+            tracer.end(b)  # not the top
+            assert tracer._stacks[env.active_process] == [a, c, d]
+            yield env.timeout(2)
+            assert tracer._stacks[env.active_process] == [a, d]
+            tracer.end(d)
+            tracer.end(a)
+            assert env.active_process not in tracer._stacks
+
+        def other():
+            mine = tracer.start("mine", "other")
+            yield env.timeout(1)
+            tracer.end(opened["c"])  # another process's span
+            assert tracer._stacks[env.active_process] == [mine]
+            tracer.end(mine)
+
+        p = env.process(owner())
+        env.process(other())
+        env.run(until=p)
+        assert [s.status for s in tracer.spans] == ["ok"] * 5
+        assert tracer._stacks == {}
+
+    def test_late_end_after_close_open_leaves_new_stack(self, env, tracer):
+        def proc():
+            old = tracer.start("old", "ctl")
+            yield env.timeout(1)
+            new = tracer.start("new", "ctl")
+            assert new.parent_id is None  # the pre-clear stack is gone
+            tracer.end(old)
+            assert tracer._stacks[env.active_process] == [new]
+            tracer.end(new)
+            assert old.status == "open" and new.status == "ok"
+
+        p = env.process(proc())
+        env.run(until=0.5)
+        assert tracer.close_open() == 1
+        assert tracer._stacks == {}
+        env.run(until=p)
+        assert tracer._stacks == {}
