@@ -14,6 +14,7 @@ from repro.cluster.apiserver import (
 )
 from repro.cluster.etcd import WatchEventType
 from repro.cluster.objects import LabelSelector, Node, ObjectMeta, Pod, PodPhase
+from repro.perf import fastpath
 from repro.sim import Environment
 
 
@@ -200,3 +201,61 @@ class TestWatch:
         assert events[1][1].status.phase is PodPhase.RUNNING
         # DELETE carries the last stored state.
         assert events[2][1].status.phase is PodPhase.RUNNING
+
+
+class TestTranslateEvent:
+    """Which deliveries share the stored object and which get a clone."""
+
+    def test_put_returns_stored_object(self, api):
+        stream = api.watch("Pod")
+        api.create(make_pod("p1"))
+        api.patch("Pod", "p1", lambda p: setattr(p.status, "phase", PodPhase.RUNNING))
+        for raw in stream.events.items:
+            etype, obj = translate_event(raw)
+            assert etype is WatchEventType.PUT
+            assert obj is raw.kv.value
+            assert obj.metadata.resource_version == raw.kv.mod_revision
+        assert obj is api.peek("Pod", "p1")
+
+    def test_replay_returns_stored_object(self, api):
+        api.create(make_pod("p1"))
+        stream = api.watch("Pod", replay=True)
+        (raw,) = stream.events.items
+        _etype, obj = translate_event(raw)
+        assert obj is api.peek("Pod", "p1")
+        assert obj.metadata.resource_version == raw.kv.mod_revision
+
+    def test_delete_shares_one_clone_with_delete_revision(self, api):
+        first, second = api.watch("Pod"), api.watch("Pod")
+        api.create(make_pod("p1"))
+        stored = api.peek("Pod", "p1")
+        api.delete("Pod", "p1")
+        raw = first.events.items[-1]
+        assert second.events.items[-1] is raw
+        _etype, obj = translate_event(raw)
+        assert translate_event(second.events.items[-1])[1] is obj
+        assert obj is not stored
+        assert obj.metadata.resource_version == raw.kv.mod_revision
+        assert stored.metadata.resource_version < raw.kv.mod_revision
+
+    def test_unstamped_blind_put_is_cloned(self, api):
+        stream = api.watch("Pod")
+        pod = make_pod("p1")
+        api.etcd.put(api._obj_key(pod), pod)
+        (raw,) = stream.events.items
+        _etype, obj = translate_event(raw)
+        assert obj is not pod
+        assert obj.metadata.resource_version == raw.kv.mod_revision
+        assert pod.metadata.resource_version == 0
+        assert translate_event(raw)[1] is obj
+
+    def test_reference_mode_clones_per_delivery(self, api):
+        stream = api.watch("Pod")
+        api.create(make_pod("p1"))
+        (raw,) = stream.events.items
+        with fastpath.force(True):
+            _etype, a = translate_event(raw)
+            _etype, b = translate_event(raw)
+        assert a is not b
+        assert raw.kv.value is not a and raw.kv.value is not b
+        assert a == b == raw.kv.value
