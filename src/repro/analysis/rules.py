@@ -102,15 +102,15 @@ _FIX_PRINT = (
 _FIX_HOT_COPY = (
     "serve the data from a cached, invalidation-driven index (e.g. "
     "repro.core.viewindex.DeviceViewIndex) or hoist the copy out of the "
-    "hot function; suppress with a justification when the copy IS the "
-    "reference path"
+    "hot function; suppress with a justification when the copy is "
+    "deliberate"
 )
 _FIX_SIM_HEAP = (
     "serve ordered pops from the kernel's binary heap (Environment "
     "pushes and pops with the bound C heapq functions) and let "
     "_pop_live drain cancelled entries lazily at the head, instead of "
     "copying or re-sorting the whole queue per event; suppress with a "
-    "justification when the copy IS the reference path"
+    "justification when the copy is deliberate"
 )
 _FIX_REVOKE = (
     "route deletions through repro.policy.revocation.safe_delete / "

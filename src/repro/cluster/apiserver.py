@@ -26,7 +26,6 @@ import copy
 from typing import Any, Callable, List, Optional, Tuple
 
 from ..obs import runtime as obs
-from ..perf import fastpath
 from ..sim import Environment
 from .etcd import CasFailure, Etcd, WatchEvent, WatchEventType
 from .objects import DEFAULT_NAMESPACE, LabelSelector, Node, Pod
@@ -95,8 +94,7 @@ def translate_event(ev: WatchEvent) -> Tuple[WatchEventType, Any]:
     :meth:`Etcd.put`). Consumers must treat delivered objects as
     **read-only** (every mutation path in this codebase goes through
     ``api.patch`` on a freshly ``get``-cloned object, which is also what
-    optimistic concurrency requires). The ``REPRO_SLOW_KERNEL`` reference
-    mode clones per delivery.
+    optimistic concurrency requires).
     """
     if ev.type is WatchEventType.DELETE:
         payload = ev.prev.value if ev.prev is not None else None
@@ -104,18 +102,14 @@ def translate_event(ev: WatchEvent) -> Tuple[WatchEventType, Any]:
         payload = ev.kv.value
     if payload is None:
         return (ev.type, None)
-    if not fastpath.slow_kernel:
-        rv = ev.kv.mod_revision
-        if payload.metadata.resource_version == rv:
-            return (ev.type, payload)
-        obj = ev.translated
-        if obj is None:
-            obj = _clone(payload)
-            obj.metadata.resource_version = rv
-            ev.translated = obj
-        return (ev.type, obj)
-    obj = _clone(payload)
-    obj.metadata.resource_version = ev.kv.mod_revision
+    rv = ev.kv.mod_revision
+    if payload.metadata.resource_version == rv:
+        return (ev.type, payload)
+    obj = ev.translated
+    if obj is None:
+        obj = _clone(payload)
+        obj.metadata.resource_version = rv
+        ev.translated = obj
     return (ev.type, obj)
 
 

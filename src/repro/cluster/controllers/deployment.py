@@ -13,11 +13,9 @@ scales down, so total live replicas never drops below ``replicas - 1``.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from typing import Dict, Generator, Optional
 
-from ...perf import fastpath
 from ...sim import Environment
 from ..apiserver import AlreadyExists, APIServer, NotFound
 from ..controller import Controller
@@ -42,15 +40,6 @@ class Deployment:
     kind = "Deployment"
 
     def clone(self) -> "Deployment":
-        if fastpath.slow_kernel:
-            workload = self.template.workload
-            self.template.workload = None
-            try:
-                dup = copy.deepcopy(self)
-            finally:
-                self.template.workload = workload
-            dup.template.workload = workload
-            return dup
         return Deployment(
             metadata=self.metadata.clone(),
             replicas=self.replicas,

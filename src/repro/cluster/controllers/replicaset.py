@@ -14,7 +14,6 @@ import copy
 from dataclasses import dataclass, field
 from typing import Any, Callable, Generator, List, Optional
 
-from ...perf import fastpath
 from ...sim import Environment
 from ..apiserver import AlreadyExists, APIServer, NotFound
 from ..controller import Controller
@@ -37,15 +36,6 @@ class ReplicaSet:
     kind = "ReplicaSet"
 
     def clone(self) -> "ReplicaSet":
-        if fastpath.slow_kernel:
-            workload = self.template.workload
-            self.template.workload = None
-            try:
-                dup = copy.deepcopy(self)
-            finally:
-                self.template.workload = workload
-            dup.template.workload = workload
-            return dup
         return ReplicaSet(
             metadata=self.metadata.clone(),
             replicas=self.replicas,

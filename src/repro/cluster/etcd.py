@@ -18,7 +18,6 @@ from heapq import merge
 from operator import attrgetter
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
-from ..perf import fastpath
 from ..sim import Environment, Store
 
 __all__ = ["Etcd", "WatchEvent", "WatchEventType", "KeyValue", "CasFailure"]
@@ -126,10 +125,7 @@ class Etcd:
         """Keys starting with *prefix*, in key order.
 
         Keys sharing a prefix are contiguous in sorted order and start at
-        the first key ``>= prefix``, so the scan is O(log K + matches).
-        Reference mode (``REPRO_SLOW_KERNEL``) sorts the whole keyspace."""
-        if fastpath.slow_kernel:
-            return [k for k in sorted(self._data) if k.startswith(prefix)]
+        the first key ``>= prefix``, so the scan is O(log K + matches)."""
         keys = self._keys
         i = bisect_left(keys, prefix)
         j = i

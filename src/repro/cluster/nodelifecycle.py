@@ -21,7 +21,6 @@ from __future__ import annotations
 from typing import Generator, List
 
 from ..obs import runtime as obs
-from ..perf import fastpath
 from ..sim import Environment
 from .apiserver import APIServer, Conflict, NotFound, ServiceUnavailable
 from .objects import Node, Pod, PodPhase
@@ -70,11 +69,7 @@ class NodeLifecycleController:
             yield self.env.timeout(self.monitor_interval)
             try:
                 # Read-only scan: every write below re-reads through _mark.
-                nodes = (
-                    self.api.nodes()
-                    if fastpath.slow_kernel
-                    else self.api.peek_list("Node")
-                )
+                nodes = self.api.peek_list("Node")
             except ServiceUnavailable:
                 continue
             stale: List[Node] = []

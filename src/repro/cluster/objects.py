@@ -14,14 +14,12 @@ extended resources is enforced (§3.1 of the paper).
 
 from __future__ import annotations
 
-import copy
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional
 
 from ..analysis.resets import register_reset
-from ..perf import fastpath
 
 __all__ = [
     "Quantities",
@@ -224,15 +222,6 @@ class Pod:
 
     def clone(self) -> "Pod":
         """Deep copy, sharing only the (immutable) workload factory."""
-        if fastpath.slow_kernel:
-            workload = self.spec.workload
-            self.spec.workload = None
-            try:
-                dup = copy.deepcopy(self)
-            finally:
-                self.spec.workload = workload
-            dup.spec.workload = workload
-            return dup
         return Pod(
             metadata=self.metadata.clone(),
             spec=self.spec.clone(),
@@ -273,8 +262,6 @@ class Node:
         return self.metadata.name
 
     def clone(self) -> "Node":
-        if fastpath.slow_kernel:
-            return copy.deepcopy(self)
         return Node(metadata=self.metadata.clone(), status=self.status.clone())
 
 

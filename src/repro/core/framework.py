@@ -12,7 +12,6 @@ from typing import Callable, Dict, Generator, List, Optional, Sequence
 
 from ..cluster.cluster import Cluster
 from ..cluster.objects import ContainerSpec, ObjectMeta, PodPhase, PodSpec
-from ..perf import fastpath
 from ..sim import Environment
 from .devmgr import KubeShareDevMgr
 from .policies import PoolPolicy
@@ -107,28 +106,24 @@ class SharePodClient:
         namespace: str = "default",
         poll: float = 0.05,
     ) -> Generator:
-        # Fast path: probe the phase read-only per tick and clone only
-        # the SharePod actually returned to the caller.
-        probe = self.api.get if fastpath.slow_kernel else self.api.peek
+        # Probe the phase read-only per tick and clone only the SharePod
+        # actually returned to the caller.
         while True:
-            sp = probe("SharePod", name, namespace)
+            sp = self.api.peek("SharePod", name, namespace)
             if sp is None:
                 return None
             if sp.status.phase in phases:
-                return sp if fastpath.slow_kernel else self.api.get(
-                    "SharePod", name, namespace
-                )
+                return self.api.get("SharePod", name, namespace)
             yield self.env.timeout(poll)
 
     def wait_all_terminal(
         self, names: Sequence[str], namespace: str = "default", poll: float = 0.25
     ) -> Generator:
-        probe = self.api.get if fastpath.slow_kernel else self.api.peek
         pending = set(names)
         while pending:
             done = set()
             for name in sorted(pending):
-                sp = probe("SharePod", name, namespace)
+                sp = self.api.peek("SharePod", name, namespace)
                 if sp is None or sp.status.phase in _TERMINAL:
                     done.add(name)
             pending -= done

@@ -33,19 +33,12 @@ from typing import Dict, Generator, List, Optional, Set, Tuple
 from ..cluster.apiserver import APIServer, NotFound
 from ..cluster.controller import Controller
 from ..cluster.etcd import WatchEventType
-from ..cluster.objects import GPU_RESOURCE, PodPhase
+from ..cluster.objects import PodPhase
 from ..obs import runtime as obs
-from ..perf import fastpath
 from ..policy.objects import ANN_QUEUED, ANN_REQUEUE_AFTER
 from ..sim import Environment
 from .sharepod import SharePod
-from .vgpu import (
-    PLACEHOLDER_PREFIX,
-    VGPU,
-    VGPUPool,
-    new_gpuid,
-    placeholder_gpuid,
-)
+from .vgpu import VGPUPool, new_gpuid
 
 __all__ = [
     "DeviceView",
@@ -355,8 +348,9 @@ class KubeShareSched(Controller):
     ) -> None:
         super().__init__(env, api, name="kubeshare-sched")
         #: shared in-process pool (classic single-instance wiring), or
-        #: ``None`` to derive the device view from the apiserver on every
-        #: pass (HA wiring — a promoted scheduler needs no state handoff).
+        #: ``None`` to derive the device view from the apiserver's
+        #: placeholder pods (HA wiring — a promoted scheduler needs no
+        #: state handoff).
         self.pool = pool
         self.defer_delay = defer_delay
         #: API-roundtrip cost of one scheduling pass (list SharePods +
@@ -370,12 +364,12 @@ class KubeShareSched(Controller):
         #: :class:`repro.policy.layer.PolicyEngine`), or ``None`` — the
         #: default, costing one attribute test in the defer branch.
         self.contention = None
-        #: lazily built cached device-view index (fast path only).
+        #: lazily built cached device-view index.
         self._index = None
 
     # -- lifecycle -----------------------------------------------------------
     def _get_index(self):
-        """The cached device-view index (created on first fast-path pass)."""
+        """The cached device-view index (created on the first pass)."""
         if self._index is None:
             from .viewindex import DeviceViewIndex  # deferred: import cycle
 
@@ -401,40 +395,6 @@ class KubeShareSched(Controller):
         return obj.spec.gpu_id is None
 
     # -- reconcile --------------------------------------------------------------
-    def _pool_view(self) -> VGPUPool:
-        """Algorithm 1's device pool.
-
-        With a shared in-process pool that pool is authoritative. In HA
-        mode the view is rebuilt from the apiserver's placeholder pods
-        (their names encode the GPUIDs), so a freshly promoted scheduler
-        leader sees exactly the vGPUs that exist in the cluster without
-        inheriting any in-memory state.
-        """
-        if self.pool is not None:
-            return self.pool
-        view = VGPUPool()
-        for pod in self.api.list("Pod"):
-            if pod.name.startswith(PLACEHOLDER_PREFIX):
-                vgpu = VGPU(
-                    gpuid=placeholder_gpuid(pod.name),
-                    created_at=pod.metadata.creation_time,
-                )
-                vgpu.placeholder_pod = pod.name
-                vgpu.node_name = pod.spec.node_name
-                view.add(vgpu)
-        return view
-
-    def _cluster_gpu_capacity(self) -> int:
-        # NotReady nodes contribute nothing: their GPUs are unreachable
-        # until the node lifecycle controller sees a fresh lease again.
-        return int(
-            sum(
-                n.status.capacity.get(GPU_RESOURCE, 0.0)
-                for n in self.api.nodes()
-                if n.status.ready
-            )
-        )
-
     def reconcile(self, key: str) -> Generator:  # hot-path
         pass_start = self.env.now  # virtual pass latency (repro_algo1_pass_seconds)
         namespace, name = key.split("/", 1)
@@ -457,28 +417,20 @@ class KubeShareSched(Controller):
             sp = self.api.get("SharePod", name, namespace)
             if sp is None or sp.spec.gpu_id is not None or sp.status.phase in _TERMINAL:
                 return
-        # hot-path: derive Algorithm 1's inputs. The reference mode relists
-        # and re-sorts per pass; the fast path serves field-identical views
-        # from the commit-invalidated DeviceViewIndex. The sharePod being
-        # scheduled needs no exclusion from the cached population: its
-        # gpu_id is None (checked above), so it contributes nothing to the
-        # views or the assigned-GPUID set either way.
-        assigned_ids: Optional[Set[str]] = None
-        if fastpath.slow_kernel:
-            sharepods = [s for s in self.api.list("SharePod") if s.metadata.key != key]  # noqa: RPR008 - reference mode for the cached index
-            pool = self._pool_view()
-            devices = build_device_views(pool, sharepods)
-            population = len(sharepods) + 1
-        else:
-            # The relists this replaces were outage-gated; no sim time has
-            # passed since the (gated) get above, so one gate call here
-            # preserves identical ServiceUnavailable behavior.
-            self.api._gate()
-            index = self._get_index()
-            devices = index.device_views()
-            pool = index.pool_view()
-            population = index.sharepod_count()
-            assigned_ids = index.assigned_gpuids()
+        # hot-path: derive Algorithm 1's inputs from the commit-invalidated
+        # DeviceViewIndex instead of relisting and re-sorting per pass.
+        # The sharePod being scheduled needs no exclusion from the cached
+        # population: its gpu_id is None (checked above), so it
+        # contributes nothing to the views or the assigned-GPUID set.
+        # The views come from memory, so one gate call keeps a pass
+        # during an apiserver outage failing with ServiceUnavailable; no
+        # sim time has passed since the (gated) get above.
+        self.api._gate()
+        index = self._get_index()
+        devices = index.device_views()
+        pool = index.pool_view()
+        population = index.sharepod_count()
+        assigned_ids = index.assigned_gpuids()
 
         audit = obs.decision_audit()
         t0 = time.perf_counter()  # noqa: RPR001 - Fig 11 measures host wall time of Algorithm 1 itself
@@ -511,19 +463,8 @@ class KubeShareSched(Controller):
                 return
             # A new vGPU needs a free physical GPU; if the cluster is fully
             # acquired, defer and retry when something frees up.
-            if assigned_ids is None:
-                assigned_ids = {
-                    s.spec.gpu_id
-                    for s in sharepods
-                    if s.spec.gpu_id is not None and s.status.phase not in _TERMINAL
-                }
             in_flight = len({g for g in assigned_ids if g not in pool})
-            capacity = (
-                self._cluster_gpu_capacity()
-                if fastpath.slow_kernel
-                else self._get_index().gpu_capacity()
-            )
-            if len(pool) + in_flight >= max(capacity, 1):
+            if len(pool) + in_flight >= max(index.gpu_capacity(), 1):
                 # Defer without blocking the worker; capacity-free events
                 # also requeue us (see filter()).
                 if self.contention is not None:

@@ -20,12 +20,10 @@ All fractional demands are values in (0, 1] and ``request <= limit``.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Optional
 
 from ..cluster.objects import ObjectMeta, PodPhase, PodSpec
-from ..perf import fastpath
 
 __all__ = ["SharePodSpec", "SharePodStatus", "SharePod", "SpecError"]
 
@@ -149,15 +147,6 @@ class SharePod:
         return self.metadata.name
 
     def clone(self) -> "SharePod":
-        if fastpath.slow_kernel:
-            workload = self.spec.pod_spec.workload
-            self.spec.pod_spec.workload = None
-            try:
-                dup = copy.deepcopy(self)
-            finally:
-                self.spec.pod_spec.workload = workload
-            dup.spec.pod_spec.workload = workload
-            return dup
         return SharePod(
             metadata=self.metadata.clone(),
             spec=self.spec.clone(),

@@ -1,8 +1,8 @@
 """Cached, invalidation-driven device views for Algorithm 1.
 
-The reference scheduling pass relists every SharePod, rebuilds the vGPU
-pool view, and re-sorts the device list **per reconcile** — O(pods) work
-per decision that dominates the control-plane profile at cluster scale.
+A naive scheduling pass relists every SharePod, rebuilds the vGPU pool
+view, and re-sorts the device list **per reconcile** — O(pods) work per
+decision that dominates the control-plane profile at cluster scale.
 :class:`DeviceViewIndex` memoizes those derived structures and invalidates
 them with synchronous etcd commit listeners (see
 :meth:`repro.cluster.etcd.Etcd.add_listener`), so a pass over an unchanged
@@ -69,9 +69,6 @@ class DeviceViewIndex:
         self._capacity: Optional[int] = None
         self._pool_version = -1
         self._closed = False
-        # Instrumentation for the perf harness / tests.
-        self.rebuilds = 0
-        self.hits = 0
         self._etcd.add_listener(_SHAREPOD_PREFIX, self._on_sharepod)
         self._etcd.add_listener(_POD_PREFIX, self._on_pod)
         self._etcd.add_listener(_NODE_PREFIX, self._on_node)
@@ -123,9 +120,7 @@ class DeviceViewIndex:
             self._pool_version = self.pool.version
             self._base = None
         if self._base is not None and self._assigned is not None:
-            self.hits += 1
             return
-        self.rebuilds += 1
         sharepods = [kv.value for kv in self._etcd.snapshot(_SHAREPOD_PREFIX)]
         self._sharepod_count = len(sharepods)
         self._base = build_device_views(pool, sharepods)

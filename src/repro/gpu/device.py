@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from typing import Dict, Generator, List, Optional
 
-from ..perf import fastpath
 from ..sim import Environment, Event
 from .sharing import ShareEntry, elastic_shares, elastic_shares_py
 
@@ -128,16 +127,12 @@ class ComputeSession:
                 started = env.now
                 finish = env.timeout(remaining / rate)
                 change = self.device.change_event()
-                if fastpath.slow_kernel:
-                    yield finish | change
-                    remaining -= (env.now - started) * rate
-                    continue
-                # Fast path: race finish against change without the
-                # Condition event. The owning process subscribes to the
-                # shared change event directly and yields the finish
-                # timer, so whichever fires first resumes it during its
-                # own dispatch — one event pop per slice instead of two
-                # (the Condition's succeed/schedule/pop round trip). The
+                # Race finish against change without a Condition event.
+                # The owning process subscribes to the shared change
+                # event directly and yields the finish timer, so
+                # whichever fires first resumes it during its own
+                # dispatch — one event pop per slice instead of two (the
+                # Condition's succeed/schedule/pop round trip). The
                 # finally detaches from change even when the process is
                 # killed or interrupted mid-slice (chaos teardown), so a
                 # later allocation change can never resume a corpse.
@@ -318,14 +313,14 @@ class GPUDevice:
         )
         n = len(demanding)
 
-        if len(demanding) < 2 and not fastpath.slow_kernel:
+        if n < 2:
             # Token mode serializes launches, so the engine almost always
             # sees 0 or 1 demanding sessions — and then the full solve
             # collapses: a lone session gets min(limit, demand) exactly
             # (one ShareEntry's cap never exceeds capacity, so the solver
             # returns the cap array unchanged and the n>1 contention term
             # is 1.0), everyone else gets 0. Skipping the numpy round
-            # trip performs no arithmetic the reference wouldn't, so the
+            # trip performs no arithmetic the full solve would, so the
             # rates are bit-identical.
             winner = demanding[0] if demanding else None
             changed = self.failed is not self._last_failed
@@ -356,7 +351,7 @@ class GPUDevice:
                 # callback list means nobody can observe this edge and
                 # firing would be two events of pure queue traffic. The
                 # armed event stays in place for future waiters, who then
-                # see the *next* change — exactly the reference contract.
+                # see the *next* change.
                 if old_ev.callbacks:
                     self._change = self.env.event()
                     old_ev.succeed()
@@ -377,7 +372,7 @@ class GPUDevice:
         ]
         if not entries:
             alloc = []
-        elif n < 8 and not fastpath.slow_kernel:
+        elif n < 8:
             # Bit-identical pure-Python mirror; numpy's fixed dispatch
             # overhead dominates the solve at these sizes.
             alloc = elastic_shares_py(entries, capacity=1.0)
@@ -400,19 +395,14 @@ class GPUDevice:
             busy_rate += rate
         self._busy_rate = busy_rate
 
-        # Wake every waiter exactly once — and, on the fast path, only
-        # when some session's rate actually changed (or the device's
-        # failed flag flipped). An unchanged allocation means every woken
-        # session would recompute the *same* absolute finish time and go
-        # back to sleep; skipping the wake coalesces those redundant
-        # re-slices. The failed-flag term matters because a session can
-        # legitimately hold rate 0 on a saturated device and must still
-        # observe the loss.
-        if fastpath.slow_kernel:
-            old, self._change = self._change, self.env.event()
-            if not old.triggered:
-                old.succeed()
-        elif changed:
+        # Wake every waiter exactly once — and only when some session's
+        # rate actually changed (or the device's failed flag flipped). An
+        # unchanged allocation means every woken session would recompute
+        # the *same* absolute finish time and go back to sleep; skipping
+        # the wake coalesces those redundant re-slices. The failed-flag
+        # term matters because a session can legitimately hold rate 0 on
+        # a saturated device and must still observe the loss.
+        if changed:
             old = self._change
             if old.callbacks:  # see the n<2 fast path above
                 self._change = self.env.event()

@@ -32,7 +32,6 @@ from functools import partial
 from typing import TYPE_CHECKING, Dict, Generator, Optional
 
 from ..obs import runtime as obs
-from ..perf import fastpath
 from .backend import Token, TokenBackend, TokenBackendUnavailable
 from .cuda import CudaAPI, CudaContext, DevicePointer
 from .device import GpuOutOfMemory
@@ -261,30 +260,19 @@ class VGPUDeviceLibrary:
             self._launches_active[dev] -= 1
             if self._launches_active[dev] == 0 and not self._idle_watch.get(dev):
                 self._idle_watch[dev] = True
-                if fastpath.slow_kernel:
-                    env.process(
-                        self._idle_revoker(dev),
-                        name=f"idle-revoke:{self.container.pod_name}",
-                    )
-                else:
-                    # Same grace timer, no coroutine: the watch fires at
-                    # most once per idle transition and runs three dict
-                    # lookups, so a full Process (Initialize event, two
-                    # generator resumes, termination event) per launch
-                    # end is pure kernel traffic. One Timeout with a
-                    # direct callback keeps the revocation time — and
-                    # therefore the grant schedule — identical.
-                    env.timeout(IDLE_REVOKE_GRACE).callbacks.append(
-                        partial(self._idle_fire, dev)
-                    )
+                # A grace timer, not a coroutine: the watch fires at most
+                # once per idle transition and runs three dict lookups, so
+                # a full Process (Initialize event, two generator resumes,
+                # termination event) per launch end would be pure kernel
+                # traffic.
+                env.timeout(IDLE_REVOKE_GRACE).callbacks.append(
+                    partial(self._idle_fire, dev)
+                )
 
     def _idle_fire(self, dev: str, _event) -> None:
-        """Fast-mode grace-timer callback (Timeout instead of a process)."""
+        """Release a held token if the application stayed idle past the
+        grace period (so waiters aren't blocked by an idle holder)."""
         self._idle_watch[dev] = False
-        self._idle_check(dev)
-
-    def _idle_check(self, dev: str) -> None:
-        """The idle-revoker's decision, shared by both kernel modes."""
         token = self._tokens.get(dev)
         if self._launches_active.get(dev, 0) > 0:
             return  # a new launch arrived; it owns the token now
@@ -292,16 +280,6 @@ class VGPUDeviceLibrary:
             return
         self._tokens.pop(dev, None)
         self.backend.release(token)
-
-    def _idle_revoker(self, dev: str) -> Generator:
-        """Release a held token if the application stays idle past the
-        grace period (so waiters aren't blocked by an idle holder)."""
-        env = self.container.env
-        try:
-            yield env.timeout(IDLE_REVOKE_GRACE)
-            self._idle_check(dev)
-        finally:
-            self._idle_watch[dev] = False
 
     def _ensure_registered(self, backend: TokenBackend, dev: str) -> None:
         if (

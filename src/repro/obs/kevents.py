@@ -21,13 +21,11 @@ identical-seed, tracing-on-vs-off replay guarantee.
 
 from __future__ import annotations
 
-import copy
 import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..cluster.objects import DEFAULT_NAMESPACE, ObjectMeta
-from ..perf import fastpath
 
 __all__ = ["KubeEvent", "EventRecorder", "EVENT_NORMAL", "EVENT_WARNING"]
 
@@ -64,8 +62,6 @@ class KubeEvent:
         return f"{self.involved_kind}/{self.involved_namespace}/{self.involved_name}"
 
     def clone(self) -> "KubeEvent":
-        if fastpath.slow_kernel:
-            return copy.deepcopy(self)
         return KubeEvent(
             metadata=self.metadata.clone(),
             reason=self.reason,

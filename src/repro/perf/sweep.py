@@ -8,9 +8,9 @@ runs) and merges the results into a single BENCH file.
 The merged file is **deterministic**: runs are sorted by seed, host
 timings are excluded (wall clock depends on the machine and on worker
 scheduling; everything else — event counts, simulated time, summaries —
-is a pure function of (scenario, seed, kernel mode)), and JSON keys are
-sorted. Running the same sweep twice therefore produces byte-identical
-output, which the CI smoke job asserts.
+is a pure function of (scenario, seed)), and JSON keys are sorted.
+Running the same sweep twice therefore produces byte-identical output,
+which the CI smoke job asserts.
 """
 
 from __future__ import annotations
@@ -21,23 +21,20 @@ from typing import Any, Dict, List, Sequence, Tuple
 
 __all__ = ["run_seed", "run_sweep", "write_sweep_report", "parse_seed_list"]
 
-_Task = Tuple[str, int, bool]
+_Task = Tuple[str, int]
 
 
 def run_seed(task: _Task) -> Dict[str, Any]:
-    """Run one (scenario, seed, slow) task; the worker entry point.
+    """Run one (scenario, seed) task; the worker entry point.
 
     Module-level so the spawn start method can pickle it. Imports are
     local: the worker pays them once, and the parent can build the task
     list without loading the cluster stack.
     """
-    name, seed, slow = task
-    from . import fastpath
+    name, seed = task
     from ..scenarios import SCENARIOS
 
-    fn = SCENARIOS[name]
-    with fastpath.force(slow):
-        out = fn(seed=seed)
+    out = SCENARIOS[name](seed=seed)
     return {
         "scenario": name,
         "seed": seed,
@@ -51,7 +48,6 @@ def run_sweep(
     scenario: str,
     seeds: Sequence[int],
     processes: int = 1,
-    slow: bool = False,
     log=print,
 ) -> Dict[str, Any]:
     """Run *scenario* at every seed; returns the merged report dict."""
@@ -63,11 +59,10 @@ def run_sweep(
         raise ValueError("at least one seed is required")
     if len(set(seeds)) != len(seeds):
         raise ValueError("seeds must be unique (the merge is keyed by seed)")
-    tasks: List[_Task] = [(scenario, int(s), slow) for s in seeds]
+    tasks: List[_Task] = [(scenario, int(s)) for s in seeds]
     log(
         f"[sweep] {scenario}: {len(tasks)} seeds across "
         f"{max(1, processes)} processes"
-        + (" (reference kernel)" if slow else "")
     )
     if processes <= 1:
         runs = [run_seed(t) for t in tasks]
@@ -84,7 +79,6 @@ def run_sweep(
     return {
         "suite": "repro-perf-sweep",
         "scenario": scenario,
-        "kernel": "reference" if slow else "fast",
         "seeds": [int(s) for s in sorted(seeds)],
         "runs": runs,
     }

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional
 
-from ..perf import fastpath
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .environment import Environment
@@ -314,14 +313,12 @@ class Condition(Event):
         if not event._ok:
             # Propagate the first failure.
             event.defused = True
-            if not fastpath.slow_kernel:
-                self._detach()
+            self._detach()
             self.fail(event._value)
         elif self._evaluate(self._events, self._count):
             value = ConditionValue()
             self._populate_value(value)
-            if not fastpath.slow_kernel:
-                self._detach()
+            self._detach()
             self.succeed(value)
 
     def _detach(self) -> None:
@@ -332,11 +329,8 @@ class Condition(Event):
         timer), pinning the whole condition graph until those eventually
         fire — long chaos runs accumulate garbage and every later dispatch
         walks dead callbacks. The check is removed the way
-        ``Process._detach_from_target`` does it.
-
-        Behavior-neutral either way (a satisfied condition's ``_check``
-        returns immediately), so reference mode keeps the historical
-        leave-attached behavior — detaching is purely a fast-path win.
+        ``Process._detach_from_target`` does it. Behavior-neutral: a
+        satisfied condition's ``_check`` returns immediately.
         """
         check = self._check
         for ev in self._events:

@@ -6,19 +6,11 @@ back to sleep. For a whole flow that is pure kernel traffic — the arrival
 *times* are data, known the moment the flow's parameters are fixed. This
 module batch-generates them with numpy (one vectorized draw per flow, not
 one RNG call per request) and feeds them to the kernel through
-:class:`FlowScheduler`:
-
-* **reference mode** (``REPRO_SLOW_KERNEL=1``) — one chaining process
-  that sleeps to each arrival and fires, the classic shape;
-* **fast mode** — every arrival is pre-scheduled up front as a bare
-  Timeout with a direct callback. No process, no generator resume per
-  arrival; each arrival costs one heap push and one heap pop.
-
-Both modes fire the callbacks at identical virtual times, so identical
-seeds produce byte-identical run summaries (the samplers draw from a
-caller-supplied seeded generator; fire order can only differ if two
-events share a timestamp, which the continuous samplers rule out almost
-surely and identical seeds rule out across modes entirely).
+:class:`FlowScheduler`, which pre-schedules every arrival up front as a
+bare Timeout with a direct callback. No process, no generator resume per
+arrival; each arrival costs one heap push and one heap pop. The samplers
+draw from a caller-supplied seeded generator, so identical seeds produce
+byte-identical run summaries.
 
 Three samplers cover the trace shapes the experiments replay:
 
@@ -37,7 +29,6 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from ..perf import fastpath
 from ..sim import Environment
 from ..sim.events import Event
 
@@ -164,12 +155,8 @@ class FlowScheduler:
     ``schedule(times, fire)`` arranges ``fire(i)`` at ``times[i]`` for
     every *i* and returns an event that succeeds once the last arrival
     has fired. *times* must be non-decreasing and not in the past.
-
-    In reference mode the arrivals are driven by one chaining process
-    (sleep → fire → sleep), byte-compatible with the classic driver
-    loop. In fast mode every arrival becomes a bare Timeout with a
-    direct callback — no process and no generator resume per arrival;
-    identical fire times, so identical-seed runs summarize identically.
+    Every arrival becomes a bare Timeout with a direct callback — no
+    process and no generator resume per arrival.
     """
 
     def __init__(self, env: Environment) -> None:
@@ -190,24 +177,12 @@ class FlowScheduler:
         if not seq:
             done.succeed()
             return done
-        if fastpath.slow_kernel:
-            env.process(self._drive(seq, fire, done), name="flow-driver")
-            return done
         for i, t in enumerate(seq[:-1]):
             env.timeout(t - now).callbacks.append(partial(self._fire, fire, i))
         env.timeout(seq[-1] - now).callbacks.append(
             partial(self._fire_last, fire, len(seq) - 1, done)
         )
         return done
-
-    def _drive(self, seq, fire, done):
-        env = self.env
-        for i, t in enumerate(seq):
-            delay = t - env.now
-            if delay > 0:
-                yield env.timeout(delay)
-            fire(i)
-        done.succeed()
 
     @staticmethod
     def _fire(fire, i, _event) -> None:

@@ -14,7 +14,6 @@ from repro.cluster.apiserver import (
 )
 from repro.cluster.etcd import WatchEventType
 from repro.cluster.objects import LabelSelector, Node, ObjectMeta, Pod, PodPhase
-from repro.perf import fastpath
 from repro.sim import Environment
 
 
@@ -248,14 +247,3 @@ class TestTranslateEvent:
         assert obj.metadata.resource_version == raw.kv.mod_revision
         assert pod.metadata.resource_version == 0
         assert translate_event(raw)[1] is obj
-
-    def test_reference_mode_clones_per_delivery(self, api):
-        stream = api.watch("Pod")
-        api.create(make_pod("p1"))
-        (raw,) = stream.events.items
-        with fastpath.force(True):
-            _etype, a = translate_event(raw)
-            _etype, b = translate_event(raw)
-        assert a is not b
-        assert raw.kv.value is not a and raw.kv.value is not b
-        assert a == b == raw.kv.value

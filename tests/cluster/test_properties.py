@@ -1,13 +1,11 @@
 """Property-based tests for the control-plane data structures."""
 # repro-lint: disable=RPR004 - hypothesis drives the raw etcd API; blind puts are the generated ops
 
-import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.controller import WorkQueue
 from repro.cluster.etcd import CasFailure, Etcd, WatchEventType
-from repro.perf import fastpath
 from repro.sim import Environment
 
 # -- etcd: replaying the watch stream reconstructs the final state ----------
@@ -87,39 +85,37 @@ etcd_write_ops = st.lists(
 
 
 class TestEtcdPrefixIndex:
-    @pytest.mark.parametrize("slow", [False, True], ids=["fast", "reference"])
     @given(ops=etcd_write_ops)
     @settings(max_examples=150, deadline=None)
-    def test_prefix_reads_match_brute_force(self, slow, ops):
-        with fastpath.force(slow):
-            etcd = Etcd(Environment())
-            model = {}
-            for op, key, value in ops:
-                if op == "put":
-                    etcd.put(key, value)
-                    model[key] = value
-                elif op == "delete":
-                    etcd.delete(key)
-                    model.pop(key, None)
+    def test_prefix_reads_match_brute_force(self, ops):
+        etcd = Etcd(Environment())
+        model = {}
+        for op, key, value in ops:
+            if op == "put":
+                etcd.put(key, value)
+                model[key] = value
+            elif op == "delete":
+                etcd.delete(key)
+                model.pop(key, None)
+            else:
+                kv = etcd.get(key)
+                current = kv.mod_revision if kv is not None else 0
+                # A stale revision must fail and leave the index alone.
+                expected = current + 1 if op == "put_if_stale" else current
+                try:
+                    etcd.put_if(key, value, mod_revision=expected)
+                except CasFailure:
+                    assert op == "put_if_stale"
                 else:
-                    kv = etcd.get(key)
-                    current = kv.mod_revision if kv is not None else 0
-                    # A stale revision must fail and leave the index alone.
-                    expected = current + 1 if op == "put_if_stale" else current
-                    try:
-                        etcd.put_if(key, value, mod_revision=expected)
-                    except CasFailure:
-                        assert op == "put_if_stale"
-                    else:
-                        assert op == "put_if"
-                        model[key] = value
-                for p in _PREFIXES:
-                    want = [(k, model[k]) for k in sorted(model) if k.startswith(p)]
-                    assert [(kv.key, kv.value) for kv in etcd.range(p)] == want
-                    assert [(kv.key, kv.value) for kv in etcd.snapshot(p)] == want
-                    assert list(etcd.keys(p)) == [k for k, _ in want]
-            assert list(etcd.keys()) == sorted(model)
-            assert len(etcd) == len(model)
+                    assert op == "put_if"
+                    model[key] = value
+            for p in _PREFIXES:
+                want = [(k, model[k]) for k in sorted(model) if k.startswith(p)]
+                assert [(kv.key, kv.value) for kv in etcd.range(p)] == want
+                assert [(kv.key, kv.value) for kv in etcd.snapshot(p)] == want
+                assert list(etcd.keys(p)) == [k for k, _ in want]
+        assert list(etcd.keys()) == sorted(model)
+        assert len(etcd) == len(model)
 
 
 # -- etcd: prefix-grouped fan-out delivers in registration order -------------
@@ -142,64 +138,62 @@ fanout_ops = st.lists(
 
 
 class TestEtcdFanOut:
-    @pytest.mark.parametrize("slow", [False, True], ids=["fast", "reference"])
     @given(ops=fanout_ops)
     @example(ops=[  # cancel() without close(), then a re-watch of its prefix
         ("watch", ""), ("watch", "/pods/"), ("watch", "/pods/"), ("cancel", 1),
         ("put", "/pods/a"), ("watch", "/pods/"), ("close", 0), ("put", "/pods/b"),
     ])
     @settings(max_examples=150, deadline=None)
-    def test_delivery_matches_registration_order_scan(self, slow, ops):
-        with fastpath.force(slow):
-            etcd = Etcd(Environment())
-            registered = []  # every watch ever made, in registration order
-            delivered = []  # (watch index, revision) in offer order
+    def test_delivery_matches_registration_order_scan(self, ops):
+        etcd = Etcd(Environment())
+        registered = []  # every watch ever made, in registration order
+        delivered = []  # (watch index, revision) in offer order
 
-            def recording(i, offer):
-                def offer_and_log(event):
-                    delivered.append((i, event.kv.mod_revision))
-                    return offer(event)
+        def recording(i, offer):
+            def offer_and_log(event):
+                delivered.append((i, event.kv.mod_revision))
+                return offer(event)
 
-                return offer_and_log
+            return offer_and_log
 
-            for op, arg in ops:
-                if op == "watch":
-                    w = etcd.watch(arg)
-                    w.events.offer = recording(len(registered), w.events.offer)
-                    registered.append(w)
-                    continue
-                if op in ("cancel", "close", "unwatch"):
-                    if arg < len(registered):
-                        w = registered[arg]
-                        if op == "cancel":
-                            w.cancel()
-                        elif op == "close":
-                            w.close()
-                        else:
-                            etcd.unwatch(w)
-                    continue
-                before = etcd.revision
-                if op == "put":
-                    etcd.put(arg, before)
-                else:
-                    etcd.delete(arg)
-                if etcd.revision == before:  # delete of an absent key
-                    continue
-                want = [
-                    (i, etcd.revision)
-                    for i, w in enumerate(registered)
-                    if not w.cancelled and arg.startswith(w.prefix)
-                ]
-                assert delivered == want
-                delivered.clear()
-            # Cancelled watches may linger until a commit under their
-            # prefix; every live one sits in its prefix's group, in order.
-            grouped = {p: [w for w in g if not w.cancelled] for p, g in etcd._groups.items()}
-            want = {}
-            for w in registered:
-                if not w.cancelled:
-                    want.setdefault(w.prefix, []).append(w)
-            assert {p: g for p, g in grouped.items() if g} == want
+        for op, arg in ops:
+            if op == "watch":
+                w = etcd.watch(arg)
+                w.events.offer = recording(len(registered), w.events.offer)
+                registered.append(w)
+                continue
+            if op in ("cancel", "close", "unwatch"):
+                if arg < len(registered):
+                    w = registered[arg]
+                    if op == "cancel":
+                        w.cancel()
+                    elif op == "close":
+                        w.close()
+                    else:
+                        etcd.unwatch(w)
+                continue
+            before = etcd.revision
+            if op == "put":
+                etcd.put(arg, before)
+            else:
+                etcd.delete(arg)
+            if etcd.revision == before:  # delete of an absent key
+                continue
+            want = [
+                (i, etcd.revision)
+                for i, w in enumerate(registered)
+                if not w.cancelled and arg.startswith(w.prefix)
+            ]
+            assert delivered == want
+            delivered.clear()
+        # Cancelled watches may linger until a commit under their
+        # prefix; every live one sits in its prefix's group, in order.
+        grouped = {p: [w for w in g if not w.cancelled] for p, g in etcd._groups.items()}
+        want = {}
+        for w in registered:
+            if not w.cancelled:
+                want.setdefault(w.prefix, []).append(w)
+        assert {p: g for p, g in grouped.items() if g} == want
 
 
 # -- workqueue: no key is ever lost, and no key is double-processed -----------

@@ -1,10 +1,8 @@
-"""Identical-seed replay: fast paths vs ``REPRO_SLOW_KERNEL`` reference.
+"""Identical-seed replay: two runs of one scenario are byte-identical.
 
-Every optimization behind :mod:`repro.perf.fastpath` claims to be
-behavior-preserving. These tests make that claim executable instead of a
-code-review promise: the chaos and failover capstone scenarios are
-replayed at the same seed in both modes with full observability
-attached, and every artifact must match byte for byte —
+The chaos and failover capstone scenarios are replayed twice at the same
+seed with full observability attached, and every artifact must match
+byte for byte —
 
 * the scenario summary (placements, recovery rates, chaos log,
   promotions),
@@ -13,8 +11,10 @@ attached, and every artifact must match byte for byte —
   event order), and
 * the rendered Perfetto/Chrome trace.
 
-A mismatch here means a "fast path" changed simulation behavior and is
-always a bug, regardless of how much faster it is.
+This guards against nondeterminism (iteration over an unordered
+container, id()-keyed ordering leaks, state leaking between runs). That
+the bytes are the *right* ones is pinned separately, by the golden
+digests in ``tests/test_scenarios.py``.
 """
 
 import json
@@ -22,7 +22,6 @@ import json
 import pytest
 
 from repro.obs.tracing import chrome_trace_json
-from repro.perf import fastpath
 from repro.scenarios import chaos, failover
 
 
@@ -30,67 +29,23 @@ def _dump(value):
     return json.dumps(value, sort_keys=True, default=str)
 
 
-def _behavior(obs):
-    """The behavioral part of an ObsHub snapshot.
-
-    Everything in the snapshot is simulated behavior and must replay
-    byte-identically — except the ``repro_sim_events_total`` series,
-    which samples ``env.events_processed``: a meter of how much work the
-    *kernel* did, not of what the cluster did. The fast paths dispatch
-    fewer events for the same behavior by design (coalesced wakes,
-    tombstoned timers never reach the queue head), so that one series is
-    the single permitted difference between modes.
-    """
-    out = dict(obs)
-    out["series"] = {
-        name: ts
-        for name, ts in obs["series"].items()
-        if name != "repro_sim_events_total"
-    }
-    return out
-
-
-def _replay(scenario, label):
-    """Run *scenario* once per mode, reference first (fresh state each)."""
-    with fastpath.force(True):
-        slow = scenario(obs_label=label)
-    with fastpath.force(False):
-        fast = scenario(obs_label=label)
-    return fast, slow
-
-
 @pytest.mark.parametrize("scenario", [chaos, failover], ids=lambda f: f.__name__)
 def test_replay_is_byte_identical(scenario):
-    fast, slow = _replay(scenario, f"replay-{scenario.__name__}")
+    label = f"replay-{scenario.__name__}"
+    first = scenario(obs_label=label)
+    second = scenario(obs_label=label)
 
-    # Same virtual end time and the same simulated outcome, byte for byte.
-    assert fast["sim_time"] == slow["sim_time"]
-    assert _dump(fast["summary"]) == _dump(slow["summary"])
+    assert first["sim_time"] == second["sim_time"]
+    assert first["events"] == second["events"]
+    assert _dump(first["summary"]) == _dump(second["summary"])
 
     # The observability snapshot is the event-order witness: spans,
     # Events, decision log, counters and sampled series all embed virtual
-    # timestamps and sequence, so coalescing or reordering anything
-    # observable would show up here.
-    assert fast["obs"] is not None and slow["obs"] is not None
-    assert _dump(_behavior(fast["obs"])) == _dump(_behavior(slow["obs"]))
+    # timestamps and sequence, so any reordering shows up here.
+    assert first["obs"] is not None and second["obs"] is not None
+    assert _dump(first["obs"]) == _dump(second["obs"])
 
     # And the artifact users actually open: the Perfetto/Chrome trace.
-    assert chrome_trace_json(fast["obs"]["spans"]) == chrome_trace_json(
-        slow["obs"]["spans"]
+    assert chrome_trace_json(first["obs"]["spans"]) == chrome_trace_json(
+        second["obs"]["spans"]
     )
-
-
-def test_fast_mode_replay_is_stable():
-    """Two identical-seed fast runs agree with each other too.
-
-    Guards against nondeterminism *introduced by* a fast path (iteration
-    over an unordered container, id()-keyed ordering leaks, ...), which a
-    fast-vs-slow comparison alone could miss if it were flaky.
-    """
-    with fastpath.force(False):
-        first = chaos(obs_label="replay-stability")
-    with fastpath.force(False):
-        second = chaos(obs_label="replay-stability")
-    assert _dump(first["summary"]) == _dump(second["summary"])
-    assert _dump(first["obs"]) == _dump(second["obs"])
-    assert first["events"] == second["events"]

@@ -59,16 +59,15 @@ class TestRunSweep:
         report = run_sweep("chaos", [13, 11], log=lambda *_: None)
         assert report["suite"] == "repro-perf-sweep"
         assert report["scenario"] == "chaos"
-        assert report["kernel"] == "fast"
         assert report["seeds"] == [11, 13]
         assert [r["seed"] for r in report["runs"]] == [11, 13]
         for run in report["runs"]:
             assert set(run) == {"scenario", "seed", "events", "sim_time", "summary"}
 
     def test_seed_actually_varies_the_run(self):
-        # The chaos engine's fault RNG is seed-driven: a sweep must
-        # explore different crash victims, not re-run the default. Any
-        # one pair can collide (4 nodes), so check a small range.
+        # The chaos engine's fault RNG is seed-driven, but it only breaks
+        # ties among the busiest nodes, so neighbouring seeds often pick
+        # the same victim: check a small range, not one pair.
         runs = run_sweep("chaos", list(range(11, 17)), log=lambda *_: None)["runs"]
         summaries = {json.dumps(r["summary"], sort_keys=True) for r in runs}
         assert len(summaries) > 1
@@ -88,22 +87,10 @@ class TestRunSweep:
         ).read()
         assert "wall" not in text and "events_per_sec" not in text
 
-    def test_reference_kernel_matches_fast_summaries(self):
-        # The sweep inherits the replay contract: per-seed summaries are
-        # kernel-mode independent even though event counts are not.
-        fast = run_sweep("chaos", [11], log=lambda *_: None)
-        slow = run_sweep("chaos", [11], slow=True, log=lambda *_: None)
-        assert slow["kernel"] == "reference"
-
-        def canon(r):
-            return json.dumps(r["runs"][0]["summary"], sort_keys=True)
-
-        assert canon(fast) == canon(slow)
-
 
 class TestRunSeed:
     def test_worker_entry_point_is_self_contained(self):
-        out = run_seed(("chaos", 11, False))
+        out = run_seed(("chaos", 11))
         assert out["scenario"] == "chaos"
         assert out["seed"] == 11
         assert out["events"] > 0

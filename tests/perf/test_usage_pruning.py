@@ -1,15 +1,14 @@
 """Regression: ClientRecord.usage occupancy math is unchanged by pruning.
 
-The fast path maintains a running sum of interval durations and prunes
-expired intervals once per clock advance; the reference path re-sums the
-whole deque on every read. Both must agree with a brute-force evaluation
-over the *unpruned* interval list at every probe point.
+``usage`` maintains a running sum of interval durations and prunes
+expired intervals once per clock advance. It must agree with a
+brute-force evaluation over the *unpruned* interval list at every probe
+point.
 """
 
 import pytest
 
 from repro.gpu.backend import ClientRecord
-from repro.perf import fastpath
 
 WINDOW = 10.0
 
@@ -44,49 +43,41 @@ def _push_elapsed(rec, pushed, now):
             pushed.append((start, end))
 
 
-@pytest.mark.parametrize("slow", [False, True], ids=["fast", "reference"])
-def test_usage_matches_brute_force_at_every_probe(slow):
+def test_usage_matches_brute_force_at_every_probe():
     rec = ClientRecord("c0", request=0.3, limit=0.6)
     pushed = []
-    with fastpath.force(slow):
-        # Monotonically advancing clock, probing straddled windows, fully
-        # expired prefixes, and repeated reads at the same `now` (the fast
-        # path prunes only once per advance).
-        for now in (1.0, 3.0, 3.0, 4.0, 6.0, 9.5, 13.0, 14.5, 20.0, 23.9, 40.0):
-            _push_elapsed(rec, pushed, now)
-            expected = brute_force(pushed, None, now, WINDOW)
-            assert rec.usage(now, WINDOW) == pytest.approx(expected, abs=1e-12)
+    # Monotonically advancing clock, probing straddled windows, fully
+    # expired prefixes, and repeated reads at the same `now` (usage
+    # prunes only once per advance).
+    for now in (1.0, 3.0, 3.0, 4.0, 6.0, 9.5, 13.0, 14.5, 20.0, 23.9, 40.0):
+        _push_elapsed(rec, pushed, now)
+        expected = brute_force(pushed, None, now, WINDOW)
+        assert rec.usage(now, WINDOW) == pytest.approx(expected, abs=1e-12)
 
 
 def test_usage_with_open_hold_matches_brute_force():
-    for slow in (False, True):
-        rec = ClientRecord("c0", request=0.3, limit=0.6)
-        for interval in INTERVALS:
-            rec.push_interval(*interval)
-        rec.hold_start = 15.0  # token currently held
-        with fastpath.force(slow):
-            for now in (15.0, 16.0, 24.0, 30.0):
-                expected = brute_force(INTERVALS, 15.0, now, WINDOW)
-                assert rec.usage(now, WINDOW) == pytest.approx(expected, abs=1e-12)
+    rec = ClientRecord("c0", request=0.3, limit=0.6)
+    for interval in INTERVALS:
+        rec.push_interval(*interval)
+    rec.hold_start = 15.0  # token currently held
+    for now in (15.0, 16.0, 24.0, 30.0):
+        expected = brute_force(INTERVALS, 15.0, now, WINDOW)
+        assert rec.usage(now, WINDOW) == pytest.approx(expected, abs=1e-12)
 
 
 def test_fast_path_actually_prunes_expired_intervals():
     rec = ClientRecord("c0", request=0.3, limit=0.6)
     for interval in INTERVALS:
         rec.push_interval(*interval)
-    with fastpath.force(False):
-        rec.usage(40.0, WINDOW)  # horizon=30: every closed interval expired
+    rec.usage(40.0, WINDOW)  # horizon=30: every closed interval expired
     assert not rec.intervals
     assert rec._dur_sum == 0.0  # no float residue left behind
     # And an empty record still reads 0.
-    with fastpath.force(False):
-        assert rec.usage(41.0, WINDOW) == 0.0
+    assert rec.usage(41.0, WINDOW) == 0.0
 
 
-def test_zero_window_is_zero_in_both_modes():
+def test_zero_window_is_zero():
     rec = ClientRecord("c0", request=0.3, limit=0.6)
     for interval in INTERVALS:
         rec.push_interval(*interval)
-    for slow in (False, True):
-        with fastpath.force(slow):
-            assert rec.usage(20.0, 0.0) == 0.0
+    assert rec.usage(20.0, 0.0) == 0.0

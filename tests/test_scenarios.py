@@ -1,9 +1,10 @@
 """Golden digests for the :mod:`repro.scenarios` catalogue.
 
-One scenario definition serves the perf harness, the sweep runner, the
-obs CLI and the capstone benchmarks, so each consumer must reproduce the
-same pinned bytes at the scenario's default seed. A digest change means
-the modelled behaviour changed: re-pin only after explaining why.
+One scenario definition serves the sweep runner, the obs CLI and the
+capstone benchmarks, so each consumer must reproduce the same pinned
+bytes at the scenario's default seed. A seed matrix and the capstones'
+control runs are pinned too. A digest change means the modelled
+behaviour changed: re-pin only after explaining why.
 """
 
 import hashlib
@@ -18,7 +19,7 @@ import pytest
 from repro import scenarios
 from repro.chaos import ChaosEngine
 from repro.obs import cli, runtime
-from repro.perf import fastpath, harness, sweep
+from repro.perf import sweep
 from repro.sim import environment
 
 #: sha256(json.dumps(summary, sort_keys=True, default=str)) per scenario.
@@ -35,6 +36,38 @@ SUMMARY_DIGESTS = {
 OBS_DIGESTS = {
     "failover": "a3cc66bd53e02426c8888af185bc6bb07b7e1214699f22f4fc5e4b204fbd0d74",
     "chaos": "497353aa06ab9ebdb34ae62ebea19c4d03c991057ffdbd1cda2429bfbaba394d",
+}
+
+#: summary digests at the matrix's other seeds. chaos seeds only break
+#: ties among the busiest nodes: 11 crashes node01, 1 node00, 5 node02.
+SEED_DIGESTS = {
+    ("fig8", 8): "dc096651f4f6b1ecf2c1cc17cd070eda75122824c6c4b63dfa9433a53c1e16a8",
+    ("fig8", 9): "fdffb3995b2bc7efb9048d14d6e9f6b9c92fc66ef639ac5f0524f7a2cb8e7e0a",
+    ("trace_replay", 24): "42c97340de455f686d9f1a79cd3451acc76f2701ced722b0ad741e59a73f9393",
+    ("trace_replay", 25): "a3c158c036c43ce21ec68cf94b731cae364fa52090658dd54b9d6dbc71342255",
+    ("chaos", 1): "0d762b5d38d84e78241da12c4c2ebb4be75b51909e0b84d38c9d71f89d88fda2",
+    ("chaos", 5): "d2ddcd15e44d8478f25185ef393d44e3cfe243ab008277b92e0d525ea9efae95",
+}
+
+#: the capstones' control runs at the default seed.
+CONTROL_RUNS = {
+    "chaos-no-recovery": (
+        scenarios.chaos,
+        {"recovery": False},
+        "404d1d00d9c6b808538377a64ea551ad757cf317d22ad7c7ad3f780f63525aa2",
+    ),
+    "failover-one-replica": (
+        scenarios.failover,
+        {"replicas": 1},
+        "8c9e8b5bd682f780d29f1029444db51e25958c462bf5cf5d0f40fba623431f06",
+    ),
+}
+
+#: chaos obs snapshots (hub labeled "chaos", ``repro_sim_events_total``
+#: dropped as in OBS_DIGESTS) at the other two crash victims.
+CHAOS_OBS_SEED_DIGESTS = {
+    1: "9eefc85c4a1f6e3512f8686aa6c63e556d6285a3fbfe2295c614538bba23c0cc",
+    5: "7909206f06647116ef1e795133dec6ee71f08b8de2ae7f067358925a3d7c5a23",
 }
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(scenarios.__file__)))
@@ -55,25 +88,47 @@ def test_registry_names_are_pinned():
 
 
 @pytest.mark.parametrize("name", list(SUMMARY_DIGESTS))
-def test_harness_and_sweep_reproduce_the_summary(name):
-    timed = harness.run_scenario(name)
-    assert _digest(timed["summary"]) == SUMMARY_DIGESTS[name]
-    swept = sweep.run_seed((name, _default_seed(name), False))
+def test_scenario_and_sweep_reproduce_the_summary(name):
+    direct = scenarios.SCENARIOS[name]()
+    assert _digest(direct["summary"]) == SUMMARY_DIGESTS[name]
+    swept = sweep.run_seed((name, _default_seed(name)))
     assert _digest(swept["summary"]) == SUMMARY_DIGESTS[name]
-    assert swept["events"] == timed["events"]
+    assert swept["events"] == direct["events"]
+
+
+@pytest.mark.parametrize("name,seed", list(SEED_DIGESTS), ids=str)
+def test_summary_digest_at_seed(name, seed):
+    run = scenarios.SCENARIOS[name](seed=seed)
+    assert _digest(run["summary"]) == SEED_DIGESTS[(name, seed)]
+
+
+@pytest.mark.parametrize("control", list(CONTROL_RUNS))
+def test_control_run_digest(control):
+    fn, knobs, want = CONTROL_RUNS[control]
+    assert _digest(fn(**knobs)["summary"]) == want
 
 
 @pytest.mark.parametrize("name", list(OBS_DIGESTS))
 def test_obs_cli_reproduces_the_snapshot(name, tmp_path, capsys):
-    with fastpath.force(False):
-        assert cli.main(["report", "--scenario", name]) == 0
-        assert "repro_sharepod_schedule_seconds" in capsys.readouterr().out
-        assert cli.main(["export", "--scenario", name, "--dir", str(tmp_path)]) == 0
+    assert cli.main(["report", "--scenario", name]) == 0
+    assert "repro_sharepod_schedule_seconds" in capsys.readouterr().out
+    assert cli.main(["export", "--scenario", name, "--dir", str(tmp_path)]) == 0
     with open(tmp_path / f"{name}.json") as fh:
         snap = json.load(fh)
     if name == "chaos":
         del snap["series"]["repro_sim_events_total"]
     assert _digest(snap) == OBS_DIGESTS[name]
+
+
+@pytest.mark.parametrize("seed", list(CHAOS_OBS_SEED_DIGESTS))
+def test_chaos_obs_snapshot_at_seed(seed):
+    run = scenarios.chaos(seed=seed, obs_label="chaos")
+    assert _digest(run["summary"]) == SEED_DIGESTS[("chaos", seed)]
+    snap = dict(run["obs"])
+    snap["series"] = {
+        k: v for k, v in snap["series"].items() if k != "repro_sim_events_total"
+    }
+    assert _digest(snap) == CHAOS_OBS_SEED_DIGESTS[seed]
 
 
 @pytest.mark.parametrize("name", ["fig8", "trace_replay"])

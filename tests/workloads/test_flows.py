@@ -1,19 +1,18 @@
-"""Tests for the vectorized arrival-flow samplers and the dual-mode
+"""Tests for the vectorized arrival-flow samplers and
 :class:`~repro.workloads.flows.FlowScheduler`.
 
 The samplers batch-generate whole arrival processes with a seeded numpy
-Generator; the scheduler then drives them through the kernel either as a
-chaining reference process (``REPRO_SLOW_KERNEL``) or as pre-scheduled
-bare timeouts. The load-bearing property is the last test class: both
-modes fire the same callbacks at the same virtual times in the same
-order, which is what lets ``repro.experiments.common`` swap the per-job
-Timeout chain for one batched flow without moving a single summary byte.
+Generator; the scheduler then drives them through the kernel as
+pre-scheduled bare timeouts. The load-bearing property is the last test
+class: the callbacks fire at exactly the given virtual times, in order
+(same-tick ties included), which is what lets
+``repro.experiments.common`` drive every job's arrival from one batched
+flow.
 """
 
 import numpy as np
 import pytest
 
-from repro.perf import fastpath
 from repro.sim import Environment
 from repro.workloads.flows import (
     FlowScheduler,
@@ -95,22 +94,15 @@ class TestDiurnalTimes:
 
 
 class TestFlowScheduler:
-    def _drive(self, slow: bool):
-        fired = []
-        with fastpath.force(slow):
-            env = Environment()
-            times = [0.0, 0.5, 0.5, 2.25, 7.0]  # includes a same-tick tie
-            done = FlowScheduler(env).schedule(
-                times, lambda i: fired.append((env.now, i))
-            )
-            env.run(until=done)
-        return env.now, fired
-
-    def test_fast_and_slow_fire_identically(self):
-        assert self._drive(slow=False) == self._drive(slow=True)
-
     def test_fire_times_and_order(self):
-        now, fired = self._drive(slow=False)
+        fired = []
+        env = Environment()
+        times = [0.0, 0.5, 0.5, 2.25, 7.0]  # includes a same-tick tie
+        done = FlowScheduler(env).schedule(
+            times, lambda i: fired.append((env.now, i))
+        )
+        env.run(until=done)
+        now = env.now
         assert now == 7.0
         assert fired == [(0.0, 0), (0.5, 1), (0.5, 2), (2.25, 3), (7.0, 4)]
 
