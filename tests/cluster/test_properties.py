@@ -1,6 +1,7 @@
 """Property-based tests for the control-plane data structures."""
 # repro-lint: disable=RPR004 - hypothesis drives the raw etcd API; blind puts are the generated ops
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -84,10 +85,28 @@ etcd_write_ops = st.lists(
 )
 
 
+def _indexed_read(etcd, prefix):
+    """The three prefix reads, which all walk the sorted key index."""
+    got = [(kv.key, kv.value) for kv in etcd.range(prefix)]
+    assert [(kv.key, kv.value) for kv in etcd.snapshot(prefix)] == got
+    assert list(etcd.keys(prefix)) == [k for k, _ in got]
+    return got
+
+
+def _sorted_scan(etcd, prefix):
+    """The index-free read: sort the stored keyspace, keep the matches."""
+    data = etcd._data
+    return [(k, data[k].value) for k in sorted(data) if k.startswith(prefix)]
+
+
 class TestEtcdPrefixIndex:
+    # ``fast`` reads through the key index; ``reference`` sorts the stored
+    # keyspace, so it checks the committed data on its own and an index
+    # bug cannot hide behind a matching write bug.
+    @pytest.mark.parametrize("read", [_indexed_read, _sorted_scan], ids=["fast", "reference"])
     @given(ops=etcd_write_ops)
     @settings(max_examples=150, deadline=None)
-    def test_prefix_reads_match_brute_force(self, ops):
+    def test_prefix_reads_match_brute_force(self, read, ops):
         etcd = Etcd(Environment())
         model = {}
         for op, key, value in ops:
@@ -111,9 +130,7 @@ class TestEtcdPrefixIndex:
                     model[key] = value
             for p in _PREFIXES:
                 want = [(k, model[k]) for k in sorted(model) if k.startswith(p)]
-                assert [(kv.key, kv.value) for kv in etcd.range(p)] == want
-                assert [(kv.key, kv.value) for kv in etcd.snapshot(p)] == want
-                assert list(etcd.keys(p)) == [k for k, _ in want]
+                assert read(etcd, p) == want
         assert list(etcd.keys()) == sorted(model)
         assert len(etcd) == len(model)
 
@@ -137,30 +154,59 @@ fanout_ops = st.lists(
 )
 
 
+def _watch(etcd, prefix, log):
+    """A watch, fanned out by the store's per-prefix groups."""
+    w = etcd.watch(prefix)
+    offer = w.events.offer
+
+    def offer_and_log(event):
+        log(event)
+        return offer(event)
+
+    w.events.offer = offer_and_log
+    return w
+
+
+class _Listener:
+    """A synchronous listener with a watch's face. The store reaches its
+    listeners by scanning them one by one in registration order."""
+
+    def __init__(self, etcd, prefix, log):
+        self.prefix = prefix
+        self.cancelled = False
+        self._etcd = etcd
+        self._fn = etcd.add_listener(prefix, log)
+
+    def cancel(self):
+        self.cancelled = True
+        self._etcd.remove_listener(self._fn)
+
+    close = cancel
+
+
 class TestEtcdFanOut:
+    # ``fast`` subscribes through watches (prefix groups merged by
+    # registration seq); ``reference`` subscribes the same prefixes as
+    # listeners, which the store delivers by a plain registration-order
+    # scan. Both must match the scan over every subscription ever made.
+    @pytest.mark.parametrize("subscribe", [_watch, _Listener], ids=["fast", "reference"])
     @given(ops=fanout_ops)
     @example(ops=[  # cancel() without close(), then a re-watch of its prefix
         ("watch", ""), ("watch", "/pods/"), ("watch", "/pods/"), ("cancel", 1),
         ("put", "/pods/a"), ("watch", "/pods/"), ("close", 0), ("put", "/pods/b"),
     ])
     @settings(max_examples=150, deadline=None)
-    def test_delivery_matches_registration_order_scan(self, ops):
+    def test_delivery_matches_registration_order_scan(self, subscribe, ops):
         etcd = Etcd(Environment())
-        registered = []  # every watch ever made, in registration order
-        delivered = []  # (watch index, revision) in offer order
+        registered = []  # every subscription ever made, in registration order
+        delivered = []  # (subscription index, revision) in offer order
 
-        def recording(i, offer):
-            def offer_and_log(event):
-                delivered.append((i, event.kv.mod_revision))
-                return offer(event)
-
-            return offer_and_log
+        def recording(i):
+            return lambda event: delivered.append((i, event.kv.mod_revision))
 
         for op, arg in ops:
             if op == "watch":
-                w = etcd.watch(arg)
-                w.events.offer = recording(len(registered), w.events.offer)
-                registered.append(w)
+                registered.append(subscribe(etcd, arg, recording(len(registered))))
                 continue
             if op in ("cancel", "close", "unwatch"):
                 if arg < len(registered):
@@ -169,8 +215,10 @@ class TestEtcdFanOut:
                         w.cancel()
                     elif op == "close":
                         w.close()
-                    else:
+                    elif subscribe is _watch:
                         etcd.unwatch(w)
+                    else:  # a listener has one way out
+                        w.cancel()
                 continue
             before = etcd.revision
             if op == "put":
@@ -186,13 +234,16 @@ class TestEtcdFanOut:
             ]
             assert delivered == want
             delivered.clear()
+        live = [w for w in registered if not w.cancelled]
+        if subscribe is _Listener:
+            assert [p for p, _ in etcd._listeners] == [w.prefix for w in live]
+            return
         # Cancelled watches may linger until a commit under their
         # prefix; every live one sits in its prefix's group, in order.
         grouped = {p: [w for w in g if not w.cancelled] for p, g in etcd._groups.items()}
         want = {}
-        for w in registered:
-            if not w.cancelled:
-                want.setdefault(w.prefix, []).append(w)
+        for w in live:
+            want.setdefault(w.prefix, []).append(w)
         assert {p: g for p, g in grouped.items() if g} == want
 
 

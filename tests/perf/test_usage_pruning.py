@@ -43,7 +43,12 @@ def _push_elapsed(rec, pushed, now):
             pushed.append((start, end))
 
 
-def test_usage_matches_brute_force_at_every_probe():
+# ``fast`` keeps one record across the probes, so each read prunes only
+# what expired since the last one; ``reference`` reads a record built at
+# each probe from every interval pushed so far, so each read sums the
+# whole unpruned history from scratch.
+@pytest.mark.parametrize("fresh", [False, True], ids=["fast", "reference"])
+def test_usage_matches_brute_force_at_every_probe(fresh):
     rec = ClientRecord("c0", request=0.3, limit=0.6)
     pushed = []
     # Monotonically advancing clock, probing straddled windows, fully
@@ -51,6 +56,10 @@ def test_usage_matches_brute_force_at_every_probe():
     # prunes only once per advance).
     for now in (1.0, 3.0, 3.0, 4.0, 6.0, 9.5, 13.0, 14.5, 20.0, 23.9, 40.0):
         _push_elapsed(rec, pushed, now)
+        if fresh:
+            rec = ClientRecord("c0", request=0.3, limit=0.6)
+            for interval in pushed:
+                rec.push_interval(*interval)
         expected = brute_force(pushed, None, now, WINDOW)
         assert rec.usage(now, WINDOW) == pytest.approx(expected, abs=1e-12)
 
